@@ -1,14 +1,16 @@
 """Inner parallel bodies and the profiles that drive every lower bound.
 
 For a convex polygon the body at depth t is the intersection of its edge
-half-planes pushed inward by t. The profile samples perimeter P(t), area
-mu(t) and the weighted volume mu_f(t) = integral over {d > t} of f(d(x)) on a
-uniform grid over [0, R], R the inradius.
+half-planes pushed inward by t. Its perimeter P(t) and area mu(t) are
+piecewise linear and quadratic between the edge-collapse events of the
+straight skeleton (``geometry._skeleton``). The profile samples P(t), mu(t)
+and the weighted volume mu_f(t) = integral over {d > t} of f(d(x)) on a
+uniform grid over [0, R], R the inradius. ``inner_body`` builds the body at
+one depth by clipping, independently of the skeleton.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ from .geometry import (
     ConvexPolygon,
     metrics,
     _shoelace,
+    _skeleton,
 )
 
 DEFAULT_GRID = 512
@@ -163,56 +166,6 @@ def inner_body(polygon: ConvexPolygon, t: float):
     return ConvexPolygon(arr)
 
 
-def _offset_polygon_deque(nx, ny, c, start):
-    """Vertices of the intersection of half-planes n_i . x >= c_i.
-
-    The normals must be angularly sorted counter-clockwise; ``start`` rotates
-    the processing order to begin at the smallest angle. Returns a vertex list
-    or None when the intersection is empty or degenerate.
-    """
-    k = len(c)
-
-    def inter(i, j):
-        det = nx[i] * ny[j] - ny[i] * nx[j]
-        return (
-            (c[i] * ny[j] - ny[i] * c[j]) / det,
-            (nx[i] * c[j] - c[i] * nx[j]) / det,
-        )
-
-    def violates(i, j, l):
-        x, y = inter(i, j)
-        return nx[l] * x + ny[l] * y < c[l]
-
-    dq = deque()
-    for s in range(k):
-        i = (start + s) % k
-        while len(dq) >= 2 and violates(dq[-2], dq[-1], i):
-            dq.pop()
-        while len(dq) >= 2 and violates(dq[0], dq[1], i):
-            dq.popleft()
-        dq.append(i)
-    while len(dq) >= 3 and violates(dq[-2], dq[-1], dq[0]):
-        dq.pop()
-    while len(dq) >= 3 and violates(dq[0], dq[1], dq[-1]):
-        dq.popleft()
-    if len(dq) < 3:
-        return None
-    idx = list(dq)
-    return [inter(idx[j], idx[(j + 1) % len(idx)]) for j in range(len(idx))]
-
-
-def _loop_area_perimeter(pts):
-    area = 0.0
-    per = 0.0
-    m = len(pts)
-    for j in range(m):
-        x0, y0 = pts[j]
-        x1, y1 = pts[(j + 1) % m]
-        area += x0 * y1 - x1 * y0
-        per += math.hypot(x1 - x0, y1 - y0)
-    return 0.5 * area, per
-
-
 @dataclass(frozen=True)
 class ParallelProfile:
     """Sampled curves t -> (P(t), mu(t), mu_f(t)) of the inner parallel bodies."""
@@ -267,38 +220,29 @@ class ParallelProfile:
 def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID) -> ParallelProfile:
     """Sample P, mu and mu_f on the uniform grid 0 = t_0 < ... < t_m = R.
 
-    P and mu come from a fresh half-plane intersection at every node. mu_f is
-    accumulated from the inradius end, so mu_f(R) = 0 holds exactly: constant
-    weights use c times the exact areas, the others sum f(midpoint) times the
-    exact area increment of each subinterval.
+    P and mu are the straight skeleton's exact pieces between edge-collapse
+    events, evaluated at the nodes. mu_f is accumulated from the inradius
+    end, so mu_f(R) = 0 holds exactly: constant weights use c times the
+    exact areas, the others sum f(midpoint) times the exact area increment of
+    each subinterval.
     """
     if m < _MIN_GRID:
         raise GridTooCoarse(f"grid size {m} below minimum {_MIN_GRID}")
     body = metrics(polygon)
-    n, b, _ = polygon._edge_data()
-    nx = n[:, 0].tolist()
-    ny = n[:, 1].tolist()
-    b = b.tolist()
-    start = int(np.argmin(np.arctan2(n[:, 1], n[:, 0])))
+    times, P_j, mu_j, C_j, _ = _skeleton(polygon)
     ts = np.linspace(0.0, body.inradius, m + 1)
-    P = np.zeros(m + 1)
-    mu = np.zeros(m + 1)
-    empty = False
-    for i, t in enumerate(ts[:-1]):
-        if empty:
-            continue
-        shifted = [bj + t for bj in b]
-        loop = _offset_polygon_deque(nx, ny, shifted, start)
-        if loop is None:
-            empty = True
-            continue
-        a, p = _loop_area_perimeter(loop)
-        if a <= 0.0:
-            empty = True
-            continue
-        P[i] = p
-        mu[i] = a
-    # the body at depth R has measure zero; its node is empty by definition
+    j = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(P_j) - 1)
+    d = ts - times[j]
+    P = P_j[j] - 2.0 * C_j[j] * d
+    mu = mu_j[j] - d * (P_j[j] - C_j[j] * d)
+    # the body at depth R has measure zero; its node is empty by definition,
+    # and so is every node from the first one past the last event or of area
+    # rounded to zero
+    live = (ts < times[-1]) & (mu > 0.0)
+    live[-1] = False
+    live = np.logical_and.accumulate(live)
+    P = np.where(live, P, 0.0)
+    mu = np.where(live, mu, 0.0)
     if weight.is_constant:
         # exact: the weighted volume of a constant weight is c times the area,
         # which keeps the discrete bound chain one-sided

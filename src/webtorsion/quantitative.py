@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import c_p, functional_F, q_exponent
 from .errors import BadExponent, ContainmentFailure
-from .geometry import BodyMetrics, ConvexPolygon, metrics
+from .geometry import BodyMetrics, ConvexPolygon, _shoelace, metrics
 from .parallel import _clip_halfplane
 
 # constant of the intermediate inradius-deficit inequality, any value < 1/3 works
@@ -138,7 +138,7 @@ def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None)
             (u_lo - pad) * u + (v_hi + pad) * vdir,
         ]
     )
-    if _shoelace_loop(corners) < 0.0:
+    if _shoelace(corners) < 0.0:
         corners = corners[::-1]
     ratio = body.perimeter * body.width / (2.0 * body.area) - 1.0
     return EnclosingRectangle(
@@ -148,11 +148,6 @@ def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None)
         corners=corners,
         symdiff_ratio=ratio,
     )
-
-
-def _shoelace_loop(c: np.ndarray) -> float:
-    x, y = c[:, 0], c[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def symdiff_ratio_geometric(polygon: ConvexPolygon, rect: EnclosingRectangle) -> float:
@@ -168,9 +163,9 @@ def symdiff_ratio_geometric(polygon: ConvexPolygon, rect: EnclosingRectangle) ->
         pts = _clip_halfplane(pts, nx, ny, off)
         if len(pts) < 3:
             return math.inf
-    inter = _shoelace_loop(np.asarray(pts))
+    inter = _shoelace(np.asarray(pts))
     area_q = rect.long_side * rect.short_side
-    area_b = _shoelace_loop(np.asarray(polygon.vertices))
+    area_b = _shoelace(np.asarray(polygon.vertices))
     return (area_q + area_b - 2.0 * inter) / area_b
 
 

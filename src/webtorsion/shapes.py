@@ -11,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import c_p, q_exponent
 from .errors import BadParameter
 from .geometry import ConvexPolygon, polygon_from_vertices
-
-
-def _q(p: float) -> float:
-    return p / (p - 1.0)
-
-
-def _c_p(p: float) -> float:
-    return (p - 1.0) / (2.0 * p - 1.0)
 
 
 def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
@@ -32,7 +25,7 @@ def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
     if l <= 0.0 or p <= 1.0 or n < 2:
         raise BadParameter("need l > 0, p > 1, n >= 2")
     gamma = (2.0 * p - 1.0) / (p - 1.0)
-    return 2.0 * _c_p(p) * (l ** -1.0) * (l / 2.0) ** gamma
+    return 2.0 * c_p(p) * (l ** -1.0) * (l / 2.0) ** gamma
 
 
 def cylinder_perimeter(l: float, n: int, boundary_measure_of_c: float | None = None) -> float:
@@ -60,7 +53,7 @@ def torsion_p_ball(p: float, radius: float = 1.0, n: int = 2) -> float:
         raise BadParameter("need p > 1 and radius > 0")
     if n != 2:
         raise BadParameter("only the planar ball is supported")
-    q = _q(p)
+    q = q_exponent(p)
     coef = 2.0 * math.pi * (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
     return coef * radius ** (q + 2.0) * q / (2.0 * (q + 2.0))
 

@@ -1,10 +1,12 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here is deliberately written against a different formulation than
-the library (series, quadrature, direction sampling) so the two can act as
-mutual checks.
+the library (series, quadrature, direction sampling, a linear program for the
+inscribed disk, a half-plane intersection per profile node) so the two can
+act as mutual checks.
 """
 import math
+from collections import deque
 
 import numpy as np
 from scipy.integrate import quad
@@ -70,3 +72,104 @@ T_DISK_P15 = math.pi / 20.0                  # torsion_disk_exact(1.5) closed fo
 MU_F_SQUARE_LINEAR = 5.0 / 6.0               # quad of (1-s)(4-8s) over [0, 1/2]
 WEB_INTEGRAL_SQUARE = 1.0 / 32.0             # quad of (1-2t)^4/(4-8t) over [0, 1/2]
 WEB_CLOSED_SQUARE = 1.0 / 48.0               # (1/3) 1^3 / 4^2
+
+
+def chebyshev_center_lp(polygon):
+    """Largest inscribed disk by the HiGHS linear program max r, r <= n_i . x - b_i.
+
+    The feasibility tolerances are tightened to 1e-10, then the active
+    constraints are re-solved in least squares; the radius returned is the
+    exact minimal edge distance of the polished center.
+    """
+    from scipy.optimize import linprog
+
+    n, b = polygon.edge_normals, polygon.edge_offsets
+    k = len(b)
+    res = linprog(
+        c=np.array([0.0, 0.0, -1.0]),
+        A_ub=np.column_stack((-n, np.ones(k))),
+        b_ub=-b,
+        bounds=[(None, None), (None, None), (0.0, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success, res.message
+    x, y, r = res.x
+    center = np.array([x, y])
+    scale_len = float(np.max(np.abs(polygon.vertices))) + 1.0
+    active = np.where(n @ center - b - r < 1e-7 * scale_len)[0]
+    if len(active) >= 3:
+        rows = np.column_stack((n[active], -np.ones(len(active))))
+        sol, *_ = np.linalg.lstsq(rows, b[active], rcond=None)
+        cand_r = float(np.min(n @ sol[:2] - b))
+        if cand_r >= r - 1e-9 * scale_len:
+            center, r = sol[:2], max(cand_r, r)
+    r = float(np.min(n @ center - b))
+    return r, (float(center[0]), float(center[1]))
+
+
+def offset_polygon_deque(nx, ny, c, start):
+    """Vertices of the intersection of half-planes n_i . x >= c_i.
+
+    The normals must be angularly sorted counter-clockwise; ``start`` rotates
+    the processing order to begin at the smallest angle. Returns a vertex list
+    or None when the intersection is empty or degenerate.
+    """
+    k = len(c)
+
+    def inter(i, j):
+        det = nx[i] * ny[j] - ny[i] * nx[j]
+        return (
+            (c[i] * ny[j] - ny[i] * c[j]) / det,
+            (nx[i] * c[j] - c[i] * nx[j]) / det,
+        )
+
+    def violates(i, j, l):
+        x, y = inter(i, j)
+        return nx[l] * x + ny[l] * y < c[l]
+
+    dq = deque()
+    for s in range(k):
+        i = (start + s) % k
+        while len(dq) >= 2 and violates(dq[-2], dq[-1], i):
+            dq.pop()
+        while len(dq) >= 2 and violates(dq[0], dq[1], i):
+            dq.popleft()
+        dq.append(i)
+    while len(dq) >= 3 and violates(dq[-2], dq[-1], dq[0]):
+        dq.pop()
+    while len(dq) >= 3 and violates(dq[0], dq[1], dq[-1]):
+        dq.popleft()
+    if len(dq) < 3:
+        return None
+    idx = list(dq)
+    return [inter(idx[j], idx[(j + 1) % len(idx)]) for j in range(len(idx))]
+
+
+def loop_area_perimeter(pts):
+    area = 0.0
+    per = 0.0
+    m = len(pts)
+    for j in range(m):
+        x0, y0 = pts[j]
+        x1, y1 = pts[(j + 1) % m]
+        area += x0 * y1 - x1 * y0
+        per += math.hypot(x1 - x0, y1 - y0)
+    return 0.5 * area, per
+
+
+def profile_deque(polygon, ts):
+    """Perimeters and areas of the inner bodies at depths ts < R, each from a
+    fresh angular-deque intersection of the shifted edge half-planes."""
+    n, b = polygon.edge_normals, polygon.edge_offsets
+    nx, ny = n[:, 0].tolist(), n[:, 1].tolist()
+    start = int(np.argmin(np.arctan2(n[:, 1], n[:, 0])))
+    P = np.zeros(len(ts))
+    mu = np.zeros(len(ts))
+    for i, t in enumerate(ts):
+        loop = offset_polygon_deque(nx, ny, (b + t).tolist(), start)
+        area, per = (0.0, 0.0) if loop is None else loop_area_perimeter(loop)
+        if area <= 0.0:
+            break
+        P[i], mu[i] = per, area
+    return P, mu

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import diameter_bruteforce, width_sampled
+import webtorsion
+from oracles import chebyshev_center_lp, diameter_bruteforce, width_sampled
 from webtorsion.errors import Degenerate, NonConvex, NonPositiveScale, ZeroDirection
 from webtorsion.geometry import (
     ConvexPolygon,
@@ -14,7 +18,7 @@ from webtorsion.geometry import (
     support_function,
 )
 from webtorsion.harness import FuzzConfig, random_convex_body
-from webtorsion.shapes import disk
+from webtorsion.shapes import disk, rectangle
 
 
 def test_unit_square_construction(unit_square):
@@ -136,6 +140,24 @@ def test_inscribed_disk_fits(small_corpus):
         center = np.asarray(m.incenter)
         d = poly.signed_distance(center[None, :])[0]
         assert d >= m.inradius - 1e-12
+        # the skeleton's last node against the linear program's optimum
+        assert m.inradius == pytest.approx(chebyshev_center_lp(poly)[0], rel=1e-9)
+    # the deepest inner body of a rectangle is a segment; its midpoint is the center
+    assert metrics(rectangle(0.2)[0]).incenter == pytest.approx((0.0, 0.0), abs=1e-15)
+
+
+def test_inradius_matches_tight_lp():
+    # HiGHS at its default feasibility tolerances puts this 14-gon's inradius
+    # 5.0e-6 relative short of the optimum
+    poly = random_convex_body(FuzzConfig(seed=42), 160)
+    assert metrics(poly).inradius == pytest.approx(chebyshev_center_lp(poly)[0], rel=1e-12)
+
+
+def test_import_leaves_out_scipy_optimize():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(webtorsion.__file__)))
+    code = "import sys, webtorsion; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_isoperimetric_inequality(small_corpus):

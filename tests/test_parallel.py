@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import MU_F_SQUARE_LINEAR
+from oracles import MU_F_SQUARE_LINEAR, profile_deque
 from webtorsion.errors import GridTooCoarse, ViolationFound
 from webtorsion.geometry import metrics
 from webtorsion.parallel import (
@@ -14,7 +14,7 @@ from webtorsion.parallel import (
     profile,
     steiner_check,
 )
-from webtorsion.shapes import disk, stadium
+from webtorsion.shapes import disk, rectangle, stadium
 
 W1 = WeightProfile.constant(1.0)
 
@@ -105,8 +105,9 @@ class TestProfile:
         assert np.abs(pr.perimeters[:-1] - expected).max() < 1e-3
 
     def test_matches_inner_body_route(self, small_corpus):
-        # profile uses the angular-deque intersection, inner_body clips edge
-        # by edge; the two routes must agree to roundoff
+        # profile evaluates the straight skeleton's pieces, inner_body clips
+        # edge by edge and the oracle intersects the shifted half-planes in an
+        # angular deque at every node; the three routes must agree to roundoff
         for poly in small_corpus[:8]:
             pr = profile(poly, W1, 64)
             m = pr.metrics
@@ -118,6 +119,12 @@ class TestProfile:
                 mm = metrics(ib)
                 assert mm.perimeter == pytest.approx(pr.perimeters[j], rel=1e-12, abs=1e-12 * m.perimeter)
                 assert mm.area == pytest.approx(pr.areas[j], rel=1e-12, abs=1e-12 * m.area)
+        shapes = [disk(1.0, 256)[0], stadium(0.5, 1.0, 256)[0], rectangle(0.1)[0]]
+        for poly in list(small_corpus) + shapes:
+            pr = profile(poly, W1, 512)
+            P, mu = profile_deque(poly, pr.t[:-1])
+            assert np.abs(P - pr.perimeters[:-1]).max() <= 1e-9 * pr.metrics.perimeter
+            assert np.abs(mu - pr.areas[:-1]).max() <= 1e-9 * pr.metrics.area
 
     def test_fuzz_profile_invariants(self, small_corpus):
         for poly in small_corpus[:30]:
