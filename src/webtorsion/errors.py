@@ -42,7 +42,7 @@ class TooFine(WebTorsionError):
 
 
 class NoConvergence(WebTorsionError):
-    """Iterative solver hit its iteration cap."""
+    """Iterative solver hit its iteration cap or its line search failed."""
 
 
 class NonMonotoneConvergence(WebTorsionError):

@@ -286,15 +286,16 @@ class SteinerReport:
 def steiner_check(prof: ParallelProfile, rel_tol: float = 1e-9) -> SteinerReport:
     """Verify P(t) <= P - 2 pi t, mu(t) >= area - P t + pi t^2 and -dP/dt >= 2 pi.
 
-    Returns the minimal slacks; raises ViolationFound when a slack falls below
-    -rel_tol times the natural scale of its inequality.
+    Returns the minimal slacks, those of the first two over the nodes t > 0
+    (at t = 0 both hold with equality by construction); raises ViolationFound
+    when a slack falls below -rel_tol times the natural scale of its inequality.
     """
     m = prof.metrics
     t, P, mu = prof.t, prof.perimeters, prof.areas
     s1 = (m.perimeter - 2 * np.pi * t) - P
     s2 = mu - (m.area - m.perimeter * t + np.pi * t * t)
-    i1 = int(np.argmin(s1))
-    i2 = int(np.argmin(s2))
+    i1 = 1 + int(np.argmin(s1[1:]))
+    i2 = 1 + int(np.argmin(s2[1:]))
     quo_slack, quo_node = math.inf, -1
     dt = t[1] - t[0]
     for i in range(len(t) - 1):

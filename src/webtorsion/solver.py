@@ -4,12 +4,14 @@ The torsion energy J(u) = (1/p) int |grad u|^p - int f u is minimized over
 piecewise-linear fields vanishing on the boundary. At p = 2 the linear system
 is solved directly; otherwise a preconditioned nonlinear conjugate gradient
 iteration with Armijo line search is used, warm-started from the scaled
-linear solution.
+linear solution. A mesh builds its gradient operator, stiffness matrix and LU
+once, on first use; every solve on it, for any p and weight, shares them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,13 +24,19 @@ from .parallel import WeightProfile
 
 _MAX_NODES = 2_000_000
 _MAX_ITERS = 100_000
+# Armijo trial steps per line search, halving from the first
+_MAX_TRIAL_STEPS = 60
 # gradient regularization scale, relative to the body diameter
 _EPS_REG = 1e-10
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangle mesh of a convex polygon."""
+    """Immutable triangle mesh of a convex polygon and its P1 operators.
+
+    The areas, the gradient operator and the factorized stiffness matrix are
+    built on first use and cached, so every (weight, p) solve shares them.
+    """
 
     polygon: ConvexPolygon
     body: BodyMetrics
@@ -46,24 +54,45 @@ class Mesh:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def _fem_data(self):
-        """Per-triangle areas and P1 basis gradients, cached."""
-        cached = self.__dict__.get("_fem")
-        if cached is None:
-            v = self.nodes[self.triangles]
-            x, y = v[:, :, 0], v[:, :, 1]
-            bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-            by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-            area2 = x[:, 0] * bx[:, 0] + x[:, 1] * bx[:, 1] + x[:, 2] * bx[:, 2]
-            area = 0.5 * area2
-            grad = np.stack([bx, by], axis=2) / area2[:, None, None]
-            cached = (area, grad)
-            object.__setattr__(self, "_fem", cached)
-        return cached
-
-    @property
+    @cached_property
     def triangle_areas(self) -> np.ndarray:
-        return self._fem_data()[0]
+        v = self.nodes[self.triangles]
+        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        area.setflags(write=False)  # shared by every solve on the mesh
+        return area
+
+    @cached_property
+    def _free(self) -> np.ndarray:
+        return np.flatnonzero(~self.is_boundary)
+
+    @cached_property
+    def _gradient(self) -> sp.csr_matrix:
+        """G with (G x)[t] and (G x)[m + t] the x- and y-slopes in triangle t
+        of the P1 field that is x on the free nodes and 0 on the boundary."""
+        v = self.nodes[self.triangles]
+        x, y = v[:, :, 0], v[:, :, 1]
+        area2 = 2.0 * self.triangle_areas[:, None]
+        gx = (y[:, [1, 2, 0]] - y[:, [2, 0, 1]]) / area2
+        gy = (x[:, [2, 0, 1]] - x[:, [1, 2, 0]]) / area2
+        col = np.full(self.node_count, -1)
+        col[self._free] = np.arange(len(self._free))
+        cols = col[self.triangles].ravel()
+        keep = cols >= 0
+        m = len(self.triangles)
+        rows = np.repeat(np.arange(m), 3)[keep]
+        return sp.csr_matrix(
+            (np.concatenate([gx.ravel()[keep], gy.ravel()[keep]]),
+             (np.concatenate([rows, rows + m]), np.tile(cols[keep], 2))),
+            shape=(2 * m, len(self._free)),
+        )
+
+    @cached_property
+    def _stiffness_lu(self):
+        """K_ff = G^T diag(area, area) G and its sparse LU, one per mesh."""
+        G = self._gradient
+        K = (G.T @ sp.diags(np.tile(self.triangle_areas, 2)) @ G).tocsc()
+        return K, splu(K)
 
     def _angle_range(self):
         v = self.nodes[self.triangles]
@@ -101,7 +130,8 @@ def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
     Each polygon edge is subdivided at spacing <= 0.9 h and an interior
     hexagonal lattice at spacing 0.8 h is added, offset from the boundary;
     the Delaunay triangulation of a convex point set tiles the polygon
-    exactly, and one neighbor-averaging sweep improves angles. Interior
+    exactly, and one neighbor-averaging sweep of the interior nodes, keeping
+    that triangulation's connectivity, improves angles. Interior
     angles stay clear of 180 degrees (the quantity that governs P1
     accuracy); corners sharper than the target minimum angle necessarily
     appear in any mesh of such a body.
@@ -143,11 +173,10 @@ def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
     if len(pts) > _MAX_NODES:
         raise TooFine(f"{len(pts)} nodes exceed the {_MAX_NODES} budget")
 
-    tri = Delaunay(pts)
-    simplices = tri.simplices
+    simplices = Delaunay(pts).simplices
 
     if len(interior_pts):
-        # one averaging sweep on interior nodes, then re-triangulate
+        # one averaging sweep on interior nodes; the connectivity stays
         neigh_sum = np.zeros_like(pts)
         neigh_cnt = np.zeros(len(pts))
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -162,8 +191,6 @@ def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
         ok = polygon.signed_distance(cand) >= 0.8 * clearance
         moved[interior_idx[ok]] = cand[ok]
         pts = moved
-        tri = Delaunay(pts)
-        simplices = tri.simplices
 
     # orient, then drop slivers of essentially zero area (collinear boundary runs)
     p0, p1, p2 = pts[simplices[:, 0]], pts[simplices[:, 1]], pts[simplices[:, 2]]
@@ -209,41 +236,26 @@ class TorsionResult:
 
 
 def _load_vector(mesh: Mesh, weight: WeightProfile) -> np.ndarray:
-    area, _ = mesh._fem_data()
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
     fvals = np.asarray(weight(mesh.polygon.signed_distance(cent)))
     fvals = np.maximum(fvals, 0.0)
-    contrib = area * fvals / 3.0
+    contrib = mesh.triangle_areas * fvals / 3.0
     F = np.zeros(mesh.node_count)
     for i in range(3):
         np.add.at(F, mesh.triangles[:, i], contrib)
     return F
 
 
-def _stiffness(mesh: Mesh) -> sp.csr_matrix:
-    area, grad = mesh._fem_data()
-    tri = mesh.triangles
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            vals.append(area * np.einsum("td,td->t", grad[:, i], grad[:, j]))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.node_count, mesh.node_count),
-    )
+def _slopes(mesh: Mesh, x: np.ndarray):
+    """G x and |grad|^2 per triangle of the field x on the free nodes."""
+    g = mesh._gradient @ x
+    m = len(mesh.triangles)
+    return g, g[:m] ** 2 + g[m:] ** 2
 
 
-def _gradient_operators(mesh: Mesh):
-    _, grad = mesh._fem_data()
-    tri = mesh.triangles
-    m = len(tri)
-    rows = np.repeat(np.arange(m), 3)
-    cols = tri.ravel()
-    gx = sp.csr_matrix((grad[:, :, 0].ravel(), (rows, cols)), shape=(m, mesh.node_count))
-    gy = sp.csr_matrix((grad[:, :, 1].ravel(), (rows, cols)), shape=(m, mesh.node_count))
-    return gx, gy
+def _p_dirichlet(mesh: Mesh, s: np.ndarray, p: float) -> float:
+    """sum over triangles of area * s^(p/2)."""
+    return float(np.sum(mesh.triangle_areas * s ** (p / 2.0)))
 
 
 def solve_torsion(
@@ -257,23 +269,21 @@ def solve_torsion(
     For p = 2 the Galerkin system is solved by a sparse direct factorization;
     otherwise preconditioned nonlinear conjugate gradients run until the
     relative energy decrease stays below tol over 10 successive iterations.
+    Raises NoConvergence when the line search or the iteration cap runs out.
     """
     if not (1.1 <= p <= 10.0):
         raise BadExponent(f"p = {p!r} outside the supported range [1.1, 10]")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    free = ~mesh.is_boundary
-    idx = np.where(free)[0]
+    idx = mesh._free
     F = _load_vector(mesh, weight)
-    K = _stiffness(mesh)
-    K_ff = K[idx][:, idx].tocsc()
-    lu = splu(K_ff)
     F_f = F[idx]
 
     u = np.zeros(mesh.node_count)
     if len(idx) == 0:
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
+    K_ff, lu = mesh._stiffness_lu
     u2 = lu.solve(F_f)
     if p == 2.0:
         u[idx] = u2
@@ -282,32 +292,21 @@ def solve_torsion(
         res = float(np.linalg.norm(K_ff @ u2 - F_f))
         return TorsionResult(mesh, u, p, weight, J, T, 1, res)
 
-    area, _ = mesh._fem_data()
-    gx_op, gy_op = _gradient_operators(mesh)
-    gxb = gx_op[:, idx]
-    gyb = gy_op[:, idx]
+    G = mesh._gradient
+    area = mesh.triangle_areas
     eps2 = (_EPS_REG * mesh.body.diameter) ** 2
 
     def energy(x):
-        gx = gxb @ x
-        gy = gyb @ x
-        s = gx * gx + gy * gy + eps2
-        return float(np.sum(area * s ** (p / 2.0)) / p - F_f @ x)
+        return _p_dirichlet(mesh, _slopes(mesh, x)[1] + eps2, p) / p - float(F_f @ x)
 
     def energy_grad(x):
-        gx = gxb @ x
-        gy = gyb @ x
-        s = gx * gx + gy * gy + eps2
-        w = area * s ** ((p - 2.0) / 2.0)
-        return (
-            gxb.T @ (w * gx) + gyb.T @ (w * gy) - F_f,
-            float(np.sum(area * s ** (p / 2.0)) / p - F_f @ x),
-        )
+        g, s = _slopes(mesh, x)
+        s += eps2
+        w = np.tile(area * s ** ((p - 2.0) / 2.0), 2)
+        return G.T @ (w * g) - F_f, _p_dirichlet(mesh, s, p) / p - float(F_f @ x)
 
     # warm start: scale the linear solution to its own optimal amplitude
-    gx = gxb @ u2
-    gy = gyb @ u2
-    a_p = float(np.sum(area * (gx * gx + gy * gy) ** (p / 2.0)))
+    a_p = _p_dirichlet(mesh, _slopes(mesh, u2)[1], p)
     b_lin = float(F_f @ u2)
     x = u2 * (b_lin / a_p) ** (1.0 / (p - 1.0)) if a_p > 0 else u2
 
@@ -317,23 +316,20 @@ def solve_torsion(
     gz = float(g @ z)
     step = 1.0
     history = [J]
-    n_iter = 0
-    stalled = False
-    while n_iter < _MAX_ITERS:
-        n_iter += 1
+    for n_iter in range(1, _MAX_ITERS + 1):
         gd = float(g @ d)
         if gd >= 0.0:
             d = -z
             gd = -gz
         step = max(step * 2.0, 1e-12)
-        J_new = energy(x + step * d)
-        backtracks = 0
-        while J_new > J + 1e-4 * step * gd and backtracks < 60:
+        for _ in range(_MAX_TRIAL_STEPS):
+            if energy(x + step * d) <= J + 1e-4 * step * gd:
+                break
             step *= 0.5
-            J_new = energy(x + step * d)
-            backtracks += 1
-        if backtracks >= 60:
-            break
+        else:
+            raise NoConvergence(
+                f"line search found no decrease in {_MAX_TRIAL_STEPS} steps at iteration {n_iter}"
+            )
         x = x + step * d
         g_new, J_new = energy_grad(x)
         z_new = lu.solve(g_new)
@@ -342,12 +338,9 @@ def solve_torsion(
         d = -z_new + beta * d
         g, z, gz, J = g_new, z_new, gz_new, J_new
         history.append(J)
-        if len(history) > 10:
-            drop = history[-11] - history[-1]
-            if drop < tol * abs(history[-1]):
-                stalled = True
-                break
-    if not stalled and n_iter >= _MAX_ITERS:
+        if len(history) > 10 and history[-11] - history[-1] < tol * abs(history[-1]):
+            break
+    else:
         raise NoConvergence(f"energy minimization did not settle in {_MAX_ITERS} iterations")
 
     u[idx] = x
@@ -360,16 +353,13 @@ def rayleigh_check(result: TorsionResult, weight: WeightProfile, p: float) -> fl
 
     (int f u)^{p/(p-1)} / (int |grad u|^p)^{1/(p-1)}; at the discrete
     optimum this equals the computed torsion up to solver tolerance, and for
-    any field it is a valid lower bound for the true torsion.
+    any field it is a valid lower bound for the true torsion. The field is
+    read on the free nodes: it vanishes on the boundary.
     """
     mesh = result.mesh
-    F = _load_vector(mesh, weight)
-    num = float(F @ result.u)
-    gx_op, gy_op = _gradient_operators(mesh)
-    gx = gx_op @ result.u
-    gy = gy_op @ result.u
-    area, _ = mesh._fem_data()
-    dirichlet = float(np.sum(area * (gx * gx + gy * gy) ** (p / 2.0)))
+    x = result.u[mesh._free]
+    num = float(_load_vector(mesh, weight)[mesh._free] @ x)
+    dirichlet = _p_dirichlet(mesh, _slopes(mesh, x)[1], p)
     if dirichlet <= 0.0:
         return 0.0
     q = p / (p - 1.0)
@@ -416,10 +406,8 @@ def richardson_T(
             raise ValueError("mesh sizes must decrease")
         if abs(a / b - 2.0) > 0.02:
             raise ValueError("mesh sizes must halve at each step")
-    Ts = []
-    for h in hs:
-        mesh = triangulate(polygon, h)
-        Ts.append(solve_torsion(mesh, weight, p, tol).torsion)
+    # each mesh, with its LU, is freed before the next one is built
+    Ts = [solve_torsion(triangulate(polygon, h), weight, p, tol).torsion for h in hs]
     diffs = [b - a for a, b in zip(Ts, Ts[1:])]
     d_prev, d_last = diffs[-2], diffs[-1]
     err = abs(d_last)

@@ -2,13 +2,14 @@
 
 Everything here is deliberately written against a different formulation than
 the library (series, quadrature, direction sampling, a linear program for the
-inscribed disk, a half-plane intersection per profile node) so the two can
-act as mutual checks.
+inscribed disk, a half-plane intersection per profile node, element-by-element
+stiffness assembly) so the two can act as mutual checks.
 """
 import math
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 
@@ -173,3 +174,26 @@ def profile_deque(polygon, ts):
             break
         P[i], mu[i] = per, area
     return P, mu
+
+
+def stiffness_coo(nodes, triangles):
+    """P1 stiffness matrix summed from the 3 x 3 element matrices.
+
+    Each element contributes area * grad(phi_i) . grad(phi_j), with the basis
+    gradients from the edge vectors of its triangle, assembled as COO triplets.
+    """
+    v = nodes[triangles]
+    x, y = v[:, :, 0], v[:, :, 1]
+    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area2 = np.sum(x * bx, axis=1)
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(triangles[:, i])
+            cols.append(triangles[:, j])
+            vals.append((bx[:, i] * bx[:, j] + by[:, i] * by[:, j]) / (2.0 * area2))
+    n = len(nodes)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -52,7 +53,9 @@ def test_profile_command(square_file, tmp_path, capsys):
     assert lines[0] == "t,P,mu,mu_f"
     assert len(lines) == 66
     steiner = json.loads(capsys.readouterr().out)
-    assert steiner["perimeter_slack"] == pytest.approx(0.0, abs=1e-12)
+    # unit square: the perimeter slack (8 - 2 pi) t is least at the first node t = 1/128
+    assert steiner["perimeter_slack"] == pytest.approx((8.0 - 2.0 * math.pi) / 128, rel=1e-9)
+    assert steiner["perimeter_node"] == 1
 
 
 def test_bound_command(square_file, capsys):

@@ -189,9 +189,9 @@ class TestSteiner:
     def test_square_slacks(self, unit_square):
         pr = profile(unit_square, W1, 512)
         rep = steiner_check(pr)
-        # slack of the perimeter bound is (8 - 2 pi) t, minimal at t = 0
-        assert rep.perimeter_slack == pytest.approx(0.0, abs=1e-12)
-        assert rep.perimeter_node == 0
+        # slack of the perimeter bound is (8 - 2 pi) t, minimal at the first node t > 0
+        assert rep.perimeter_slack == pytest.approx((8.0 - 2.0 * math.pi) * pr.t[1], rel=1e-9)
+        assert rep.perimeter_node == 1
         assert rep.quotient_slack == pytest.approx(8.0 - 2.0 * math.pi, rel=1e-6)
 
     def test_stadium_near_equality(self):
@@ -210,7 +210,7 @@ class TestSteiner:
     def test_violation_raised_on_corrupted_profile(self, unit_square):
         pr = profile(unit_square, W1, 128)
         # inflating every perimeter keeps the profile invariants but breaks
-        # the Steiner bound at t = 0
+        # the Steiner bound near t = 0
         corrupted = ParallelProfile(
             t=pr.t, perimeters=1.01 * pr.perimeters, areas=pr.areas,
             weighted=pr.weighted, metrics=pr.metrics, weight=pr.weight,
@@ -218,6 +218,13 @@ class TestSteiner:
         )
         with pytest.raises(ViolationFound):
             steiner_check(corrupted)
+
+    def test_minima_skip_the_identities_at_t0(self, small_corpus):
+        # P(0) = P and mu(0) = A hold by construction and carry no information
+        for poly in small_corpus[:10]:
+            rep = steiner_check(profile(poly, W1, 64))
+            assert rep.perimeter_node >= 1
+            assert rep.area_node >= 1
 
     def test_fuzz_steiner(self, small_corpus):
         for poly in small_corpus[:30]:

@@ -6,11 +6,12 @@ from oracles import (
     T_DISK_P2,
     T_DISK_P3,
     T_UNIT_SQUARE,
+    stiffness_coo,
     torsion_rectangle_series,
 )
 import webtorsion.solver as solver_mod
 from webtorsion.bounds import c_p, q_exponent, web_lower_closed
-from webtorsion.errors import BadExponent, NonMonotoneConvergence, TooFine
+from webtorsion.errors import BadExponent, NoConvergence, NonMonotoneConvergence, TooFine
 from webtorsion.geometry import metrics, polygon_from_vertices
 from webtorsion.parallel import WeightProfile, inner_body, profile
 from webtorsion.shapes import disk, rectangle, slab_upper_bound
@@ -76,10 +77,41 @@ class TestTriangulate:
         with pytest.raises(ValueError):
             triangulate(unit_square, 0.0)
 
+    def test_one_delaunay_call(self, unit_square, monkeypatch):
+        # the smoothing sweep keeps the connectivity of the first triangulation
+        calls = []
+        real = solver_mod.Delaunay
+        monkeypatch.setattr(solver_mod, "Delaunay", lambda pts: calls.append(len(pts)) or real(pts))
+        mesh = triangulate(unit_square, 1.0 / 16)
+        assert calls == [mesh.node_count]
+
     def test_node_budget(self, unit_square, monkeypatch):
         monkeypatch.setattr(solver_mod, "_MAX_NODES", 100)
         with pytest.raises(TooFine):
             triangulate(unit_square, 1.0 / 32)
+
+
+class TestDiscretization:
+    def test_stiffness_matches_element_assembly(self, small_corpus):
+        poly = small_corpus[0]
+        for mesh in (
+            triangulate(poly, metrics(poly).inradius / 6.0),
+            triangulate(disk(1.0, 256)[0], 1.0 / 12),
+        ):
+            free = ~mesh.is_boundary
+            ref = stiffness_coo(mesh.nodes, mesh.triangles)[free][:, free]
+            K, _ = mesh._stiffness_lu
+            assert abs(K - ref).max() <= 1e-13 * abs(ref).max()
+
+    def test_one_factorization_per_mesh(self, unit_square, monkeypatch):
+        calls = []
+        real = solver_mod.splu
+        monkeypatch.setattr(solver_mod, "splu", lambda K: calls.append(K.shape) or real(K))
+        mesh = triangulate(unit_square, 1.0 / 16)
+        res = solve_torsion(mesh, W1, 2.0)
+        solve_torsion(mesh, WeightProfile.exponential(1.0, 1.0), 3.0)
+        rayleigh_check(res, W1, 2.0)
+        assert len(calls) == 1
 
 
 class TestSolve:
@@ -121,6 +153,20 @@ class TestSolve:
             for p in (1.5, 3.0):
                 res = solve_torsion(mesh, W1, p)
                 assert res.min_interior >= -1e-12
+
+    def test_failed_line_search_raises(self, unit_square, monkeypatch):
+        # one trial step per search: the step doubles each iteration until it
+        # overshoots, and the unconverged field must not come back as a result
+        monkeypatch.setattr(solver_mod, "_MAX_TRIAL_STEPS", 1)
+        mesh = triangulate(unit_square, 1.0 / 16)
+        with pytest.raises(NoConvergence, match="line search"):
+            solve_torsion(mesh, W1, 3.0)
+
+    def test_iteration_cap_raises(self, unit_square, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_MAX_ITERS", 3)
+        mesh = triangulate(unit_square, 1.0 / 16)
+        with pytest.raises(NoConvergence, match="did not settle"):
+            solve_torsion(mesh, W1, 3.0)
 
     def test_bad_exponent_and_tol(self, unit_square):
         mesh = triangulate(unit_square, 0.25)
