@@ -31,6 +31,13 @@ def _parse_weight(spec: str) -> WeightProfile:
     )
 
 
+def _parse_p(spec: str) -> float:
+    p = float(spec)
+    if not (1.1 <= p <= 10.0):
+        raise argparse.ArgumentTypeError(f"p = {spec} outside the supported range [1.1, 10]")
+    return p
+
+
 def _load_polygon(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         desc = json.load(fh)
@@ -69,14 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="analytic lower bounds")
     b.add_argument("shape")
-    b.add_argument("--p", type=float, default=2.0)
+    b.add_argument("--p", type=_parse_p, default=2.0)
     b.add_argument("--weight", type=_parse_weight, default=WeightProfile.constant(1.0))
     b.add_argument("--grid", type=int, default=DEFAULT_GRID)
     b.add_argument("--out", default=None)
 
     s = sub.add_parser("solve", help="finite element torsion solve")
     s.add_argument("shape")
-    s.add_argument("--p", type=float, default=2.0)
+    s.add_argument("--p", type=_parse_p, default=2.0)
     s.add_argument("--weight", type=_parse_weight, default=WeightProfile.constant(1.0))
     s.add_argument("--h", type=float, default=None, help="target edge length (default R/16)")
     s.add_argument("--tol", type=float, default=1e-10)
@@ -84,14 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("deficit", help="quantitative deficit report")
     d.add_argument("shape")
-    d.add_argument("--p", type=float, default=2.0)
+    d.add_argument("--p", type=_parse_p, default=2.0)
     d.add_argument("--h", type=float, default=None, help="finest mesh size (default R/12)")
     d.add_argument("--out", default=None)
 
     q = sub.add_parser("sequence", help="thinning-family sweep as CSV")
     q.add_argument("--kind", choices=("rectangle", "triangle", "stadium"), required=True)
     q.add_argument("--l", type=_parse_l_grid, default=harness.DEFAULT_L_GRID)
-    q.add_argument("--p", type=float, default=2.0)
+    q.add_argument("--p", type=_parse_p, default=2.0)
     q.add_argument("--grid", type=int, default=DEFAULT_GRID)
     q.add_argument("--out", default=None)
     q.add_argument("--svg", default=None, help="optional line plot of F_p against l")
@@ -154,8 +161,6 @@ def _run(args) -> int:
 
     if args.command == "bound":
         poly, _ = _load_polygon(args.shape)
-        if not (1.1 <= args.p <= 10.0):
-            raise ValueError(f"--p {args.p} outside the supported range [1.1, 10]")
         prof = profile(poly, args.weight, args.grid)
         _emit_json(bound_report(prof, args.p).to_json_dict(), args.out)
         return 0
@@ -186,8 +191,6 @@ def _run(args) -> int:
 
     if args.command == "deficit":
         poly, _ = _load_polygon(args.shape)
-        if not (1.1 <= args.p <= 10.0):
-            raise ValueError(f"--p {args.p} outside the supported range [1.1, 10]")
         body = metrics(poly)
         h = args.h if args.h is not None else body.inradius / 12.0
         w1 = WeightProfile.constant(1.0)

@@ -22,9 +22,6 @@ MIN_VERTEX_SEP = 1e-12
 # Polygons with area below this are rejected as degenerate.
 MIN_AREA = 1e-9
 
-# Vertex count below which the diameter is found by brute-force pairs.
-_DIAMETER_BRUTE_LIMIT = 64
-
 
 def _shoelace(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
@@ -36,7 +33,8 @@ class ConvexPolygon:
     """Counter-clockwise, strictly convex planar polygon.
 
     Use :func:`polygon_from_vertices` to build one from raw points; the
-    constructor itself only validates an already canonical vertex array.
+    constructor itself only validates an already canonical vertex array. It
+    measures the edges once and caches the area and the edge data.
     """
 
     vertices: np.ndarray
@@ -53,50 +51,45 @@ class ConvexPolygon:
         area = _shoelace(v)
         if area <= 0.0:
             raise NonConvex("vertices are not in counter-clockwise order")
-        # strict convexity at every corner
-        a = np.roll(v, 1, axis=0)
-        c = np.roll(v, -1, axis=0)
-        e1 = v - a
-        e2 = c - v
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        norm = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+        # edge i runs from vertex i to vertex i + 1
+        e = np.roll(v, -1, axis=0) - v
+        length = np.linalg.norm(e, axis=1)
+        # strict convexity at every corner: edge i - 1 turns left into edge i
+        ep = np.roll(e, 1, axis=0)
+        cross = ep[:, 0] * e[:, 1] - ep[:, 1] * e[:, 0]
+        norm = np.roll(length, 1) * length
         if np.any(norm < MIN_VERTEX_SEP**2):
             raise Degenerate("duplicate vertices")
         if np.any(cross / norm <= 0.0):
             raise NonConvex("reflex or flat corner in canonical polygon")
-
-    # -- cached derived data -------------------------------------------------
-
-    def _edge_data(self):
-        """Inward unit normals n_i and offsets b_i with n_i . x >= b_i on the body."""
-        cached = self.__dict__.get("_edges")
-        if cached is None:
-            v = self.vertices
-            e = np.roll(v, -1, axis=0) - v
-            length = np.linalg.norm(e, axis=1)
-            # inward normal of a CCW edge is the left-rotated edge direction
-            n = np.column_stack((-e[:, 1], e[:, 0])) / length[:, None]
-            b = np.einsum("ij,ij->i", n, v)
-            cached = (n, b, length)
-            object.__setattr__(self, "_edges", cached)
-        return cached
+        # a star polygon turns left at every corner too, but its turns sum to
+        # a multiple of 2 pi above 2 pi
+        ang = np.arctan2(e[:, 1], e[:, 0])
+        turn = (np.diff(ang, append=ang[0]) + np.pi) % (2 * np.pi) - np.pi
+        if abs(float(np.sum(turn)) - 2 * np.pi) > 1e-6:
+            raise NonConvex("boundary winds more than once")
+        # inward unit normals n_i and offsets b_i with n_i . x >= b_i on the
+        # body: the inward normal of a CCW edge is its left-rotated direction
+        n = np.column_stack((-e[:, 1], e[:, 0])) / length[:, None]
+        object.__setattr__(self, "_area", area)
+        object.__setattr__(self, "_edges", (n, np.einsum("ij,ij->i", n, v), length))
 
     @property
     def edge_normals(self) -> np.ndarray:
-        return self._edge_data()[0]
+        return self._edges[0]
 
     @property
     def edge_offsets(self) -> np.ndarray:
-        return self._edge_data()[1]
+        return self._edges[1]
 
     @property
     def edge_lengths(self) -> np.ndarray:
-        return self._edge_data()[2]
+        return self._edges[2]
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance to the boundary, positive inside (exact for convex polygons)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n, b, _ = self._edge_data()
+        n, b, _ = self._edges
         out = np.full(len(pts), np.inf)
         for i in range(len(b)):
             np.minimum(out, pts @ n[i] - b[i], out=out)
@@ -187,18 +180,10 @@ def polygon_from_vertices(points) -> ConvexPolygon:
     merged = _canonicalize(pts)
     if merged.shape[0] < 3:
         raise Degenerate("fewer than 3 vertices after merging")
-    if _shoelace(merged) < MIN_AREA:
-        raise Degenerate(f"area {_shoelace(merged):.3e} below {MIN_AREA:.0e}")
-    # guard against boundaries winding more than once (star polygons pass the
-    # local turn test but sum their exterior angles to a multiple of 2 pi)
-    v = merged
-    e = np.roll(v, -1, axis=0) - v
-    ang = np.arctan2(e[:, 1], e[:, 0])
-    turn = np.diff(np.concatenate([ang, ang[:1]]))
-    turn = (turn + np.pi) % (2 * np.pi) - np.pi
-    if abs(float(np.sum(turn)) - 2 * np.pi) > 1e-6:
-        raise NonConvex("boundary winds more than once")
-    return ConvexPolygon(merged)
+    poly = ConvexPolygon(merged)
+    if poly._area < MIN_AREA:
+        raise Degenerate(f"area {poly._area:.3e} below {MIN_AREA:.0e}")
+    return poly
 
 
 def support_function(polygon: ConvexPolygon, y) -> float:
@@ -218,49 +203,39 @@ def scale(polygon: ConvexPolygon, t: float) -> ConvexPolygon:
     return polygon_from_vertices(polygon.vertices * t)
 
 
-def _diameter_brute(v: np.ndarray) -> float:
-    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
-    return float(np.sqrt(d2.max()))
+def _calipers(polygon: ConvexPolygon):
+    """Diameter, minimal width and its direction in one antipodal sweep.
 
-
-def _diameter_calipers(v: np.ndarray) -> float:
-    """Antipodal-pair sweep over a strictly convex CCW polygon."""
+    Rotating calipers (Toussaint 1983): the vertex j farthest from the line of
+    edge i advances monotonically with i. The minimal width is attained on an
+    edge normal, at the least height of j over edge i (the first edge on
+    ties), and the diameter between an end of edge i and j or j + 1.
+    """
+    v = polygon.vertices.tolist()
+    nrm = polygon._edges[0].tolist()
     k = len(v)
-
-    def cross_area(i, j, l):
-        return (v[j, 0] - v[i, 0]) * (v[l, 1] - v[i, 1]) - (v[j, 1] - v[i, 1]) * (
-            v[l, 0] - v[i, 0]
-        )
-
-    best = 0.0
+    d2, width, width_dir = 0.0, math.inf, None
     j = 1
     for i in range(k):
-        i1 = (i + 1) % k
-        while cross_area(i, i1, (j + 1) % k) > cross_area(i, i1, j):
-            j = (j + 1) % k
-        for cand in (j, (j + 1) % k):
-            d = float(np.hypot(*(v[cand] - v[i])))
-            if d > best:
-                best = d
-            d = float(np.hypot(*(v[cand] - v[i1])))
-            if d > best:
-                best = d
-    return best
-
-
-def _width_over_edge_normals(polygon: ConvexPolygon):
-    """Minimal width and its achieving unit direction (an edge normal)."""
-    v = polygon.vertices
-    n = polygon.edge_normals
-    best = math.inf
-    best_dir = (0.0, 1.0)
-    for i in range(len(n)):
-        proj = v @ n[i]
-        w = float(proj.max() - proj.min())
-        if w < best:
-            best = w
-            best_dir = (float(n[i, 0]), float(n[i, 1]))
-    return best, best_dir
+        (xa, ya), (xb, yb) = v[i], v[(i + 1) % k]
+        nx, ny = nrm[i]
+        h = nx * v[j][0] + ny * v[j][1]
+        while True:
+            j1 = (j + 1) % k
+            h1 = nx * v[j1][0] + ny * v[j1][1]
+            if h1 <= h:
+                break
+            j, h = j1, h1
+        w = h - min(nx * xa + ny * ya, nx * xb + ny * yb)
+        if w < width:
+            width, width_dir = w, (nx, ny)
+        for x, y in (v[j], v[j1]):
+            d2 = max(
+                d2,
+                (x - xa) * (x - xa) + (y - ya) * (y - ya),
+                (x - xb) * (x - xb) + (y - yb) * (y - yb),
+            )
+    return math.sqrt(d2), width, width_dir
 
 
 def _tan_half_turn(na, nb) -> float:
@@ -294,7 +269,7 @@ def _skeleton(polygon: ConvexPolygon):
     cached = polygon.__dict__.get("_skeleton")
     if cached is not None:
         return cached
-    n, b, length = polygon._edge_data()
+    n, b, length = polygon._edges
     k = len(b)
     nrm = n.tolist()
     prv = [(i - 1) % k for i in range(k)]
@@ -306,7 +281,7 @@ def _skeleton(polygon: ConvexPolygon):
     tau = (length / rate).tolist()
     heap = list(zip(tau, range(k)))
     heapq.heapify(heap)
-    t, P, mu, C = 0.0, float(length.sum()), _shoelace(polygon.vertices), math.fsum(h)
+    t, P, mu, C = 0.0, float(length.sum()), polygon._area, math.fsum(h)
     times, pieces = [t], [(P, mu, C)]
     while True:
         t_i, i = heapq.heappop(heap)
@@ -364,20 +339,13 @@ def metrics(polygon: ConvexPolygon) -> BodyMetrics:
     cached = polygon.__dict__.get("_metrics")
     if cached is not None:
         return cached
-    v = polygon.vertices
-    area = _shoelace(v)
-    perimeter = float(np.sum(polygon.edge_lengths))
-    if len(v) < _DIAMETER_BRUTE_LIMIT:
-        diameter = _diameter_brute(v)
-    else:
-        diameter = _diameter_calipers(v)
-    width, width_dir = _width_over_edge_normals(polygon)
-    n, b, _ = polygon._edge_data()
+    diameter, width, width_dir = _calipers(polygon)
+    n, b, length = polygon._edges
     incenter = _skeleton(polygon)[4]
     inradius = float(np.min(n @ np.asarray(incenter) - b))
     m = BodyMetrics(
-        area=area,
-        perimeter=perimeter,
+        area=polygon._area,
+        perimeter=float(np.sum(length)),
         diameter=diameter,
         width=width,
         width_direction=width_dir,

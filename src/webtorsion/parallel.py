@@ -150,7 +150,7 @@ def inner_body(polygon: ConvexPolygon, t: float):
         raise ValueError("depth t must be non-negative")
     if t == 0.0:
         return polygon
-    n, b, _ = polygon._edge_data()
+    n, b, _ = polygon._edges
     pts = [(float(x), float(y)) for x, y in polygon.vertices]
     for i in range(len(b)):
         pts = _clip_halfplane(pts, float(n[i, 0]), float(n[i, 1]), float(b[i]) + t)
@@ -296,23 +296,21 @@ def steiner_check(prof: ParallelProfile, rel_tol: float = 1e-9) -> SteinerReport
     s2 = mu - (m.area - m.perimeter * t + np.pi * t * t)
     i1 = 1 + int(np.argmin(s1[1:]))
     i2 = 1 + int(np.argmin(s2[1:]))
-    quo_slack, quo_node = math.inf, -1
-    dt = t[1] - t[0]
-    for i in range(len(t) - 1):
-        if P[i] == 0.0 and P[i + 1] == 0.0:
-            continue
-        q = (P[i] - P[i + 1]) / dt - 2 * np.pi
-        if q < quo_slack:
-            quo_slack, quo_node = q, i
+    # difference quotients of P, skipping the subintervals past the inradius
+    # where P vanishes at both nodes
+    q = np.where(
+        (P[:-1] != 0.0) | (P[1:] != 0.0), (P[:-1] - P[1:]) / (t[1] - t[0]) - 2 * np.pi, np.inf
+    )
+    i3 = int(np.argmin(q))
     report = SteinerReport(
         perimeter_slack=float(s1[i1]), perimeter_node=i1,
         area_slack=float(s2[i2]), area_node=i2,
-        quotient_slack=float(quo_slack), quotient_node=quo_node,
+        quotient_slack=float(q[i3]), quotient_node=i3,
     )
     if report.perimeter_slack < -rel_tol * m.perimeter:
         raise ViolationFound("steiner-perimeter", report.perimeter_slack, i1)
     if report.area_slack < -rel_tol * m.area:
         raise ViolationFound("steiner-area", report.area_slack, i2)
-    if quo_slack < -rel_tol * 2 * np.pi:
-        raise ViolationFound("steiner-quotient", float(quo_slack), quo_node)
+    if report.quotient_slack < -rel_tol * 2 * np.pi:
+        raise ViolationFound("steiner-quotient", report.quotient_slack, i3)
     return report

@@ -9,7 +9,7 @@ also passes through the inradius-deficit inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -165,7 +165,7 @@ def symdiff_ratio_geometric(polygon: ConvexPolygon, rect: EnclosingRectangle) ->
             return math.inf
     inter = _shoelace(np.asarray(pts))
     area_q = rect.long_side * rect.short_side
-    area_b = _shoelace(np.asarray(polygon.vertices))
+    area_b = polygon._area
     return (area_q + area_b - 2.0 * inter) / area_b
 
 
@@ -280,17 +280,8 @@ def theorem3_report(polygon: ConvexPolygon, T: float, body: BodyMetrics | None =
         ok3 = bool(base.deficit >= rhs3)
         rhs_r = QUANT_R_CONST * base.inradius_deficit**3
         ok_r = bool(base.deficit >= rhs_r)
-    return DeficitReport(
-        p=2.0,
-        torsion=T,
-        F_p=base.F_p,
-        c_p=base.c_p,
-        deficit=base.deficit,
-        width_diam_ratio=base.width_diam_ratio,
-        K_p=base.K_p,
-        theorem2_rhs=base.theorem2_rhs,
-        theorem2_ok=base.theorem2_ok,
-        inradius_deficit=base.inradius_deficit,
+    return replace(
+        base,
         rectangle=rect,
         symdiff_ratio=D,
         sigma=sigma,

@@ -376,15 +376,6 @@ class RichardsonResult:
     h_values: tuple
     torsions: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "T": self.torsion,
-            "error": self.error,
-            "observed_order": self.observed_order,
-            "h": list(self.h_values),
-            "T_per_h": list(self.torsions),
-        }
-
 
 def richardson_T(
     polygon: ConvexPolygon,

@@ -3,7 +3,8 @@
 Everything here is deliberately written against a different formulation than
 the library (series, quadrature, direction sampling, a linear program for the
 inscribed disk, a half-plane intersection per profile node, element-by-element
-stiffness assembly) so the two can act as mutual checks.
+stiffness assembly, a loop over the Steiner difference quotients) so the two
+can act as mutual checks.
 """
 import math
 from collections import deque
@@ -49,6 +50,21 @@ def width_sampled(vertices: np.ndarray, n_dirs: int = 3600) -> float:
 def diameter_bruteforce(vertices: np.ndarray) -> float:
     d2 = np.sum((vertices[:, None, :] - vertices[None, :, :]) ** 2, axis=2)
     return float(np.sqrt(d2.max()))
+
+
+def steiner_quotient_loop(prof):
+    """Least (P(t_i) - P(t_{i+1})) / dt - 2 pi over the subintervals and its
+    first node, skipping those where P vanishes at both ends."""
+    t, P = prof.t, prof.perimeters
+    slack, node = math.inf, -1
+    dt = t[1] - t[0]
+    for i in range(len(t) - 1):
+        if P[i] == 0.0 and P[i + 1] == 0.0:
+            continue
+        q = (P[i] - P[i + 1]) / dt - 2 * np.pi
+        if q < slack:
+            slack, node = q, i
+    return float(slack), node
 
 
 def web_integral_quad(mu_f, perim, inradius: float, p: float) -> float:

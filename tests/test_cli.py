@@ -46,6 +46,31 @@ def test_bad_arguments_exit_one(capsys):
     assert cli_dispatch(["bound", "x.json", "--weight", "cubic:2"]) == 1
 
 
+def test_exponent_range_checked_before_any_work(square_file, monkeypatch, capsys):
+    import webtorsion.cli as cli_mod
+    import webtorsion.solver as solver_mod
+
+    calls = []
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod, name in ((solver_mod, "triangulate"), (cli_mod, "triangulate"), (cli_mod, "profile")):
+        monkeypatch.setattr(mod, name, recorded(name, getattr(mod, name)))
+    for argv in (
+        ["sequence", "--kind", "rectangle", "--l", "0.4,0.2,0.1", "--p", "1.05", "--grid", "64"],
+        ["solve", square_file, "--p", "42"],
+        ["deficit", square_file, "--p", "1.05"],
+        ["bound", square_file, "--p", "nan"],
+    ):
+        assert cli_dispatch(argv) == 1
+        assert calls == []
+        assert "--p" in capsys.readouterr().err
+
+
 def test_profile_command(square_file, tmp_path, capsys):
     out = tmp_path / "prof.csv"
     assert cli_dispatch(["profile", square_file, "--grid", "64", "--out", str(out)]) == 0

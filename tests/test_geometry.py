@@ -18,7 +18,7 @@ from webtorsion.geometry import (
     support_function,
 )
 from webtorsion.harness import FuzzConfig, random_convex_body
-from webtorsion.shapes import disk, rectangle
+from webtorsion.shapes import disk, isosceles_triangle, rectangle, stadium
 
 
 def test_unit_square_construction(unit_square):
@@ -61,6 +61,13 @@ def test_winding_twice_rejected():
     star = np.column_stack((np.cos(th), np.sin(th)))
     with pytest.raises(NonConvex):
         polygon_from_vertices(star)
+
+
+def test_pentagram_rejected():
+    # every corner of a pentagram turns left, but its boundary winds twice
+    th = 0.8 * np.pi * np.arange(5)
+    with pytest.raises(NonConvex):
+        ConvexPolygon(np.column_stack((np.cos(th), np.sin(th))))
 
 
 def test_equilateral_width_over_inradius(equilateral):
@@ -120,18 +127,33 @@ def test_metric_scaling_laws(small_corpus):
         assert ms.inradius == pytest.approx(3.0 * m.inradius, rel=1e-9)
 
 
-def test_width_matches_direction_sampling(small_corpus):
-    for poly in small_corpus[:25]:
+@pytest.fixture(scope="module")
+def caliper_bodies(small_corpus):
+    bodies = list(small_corpus)
+    for k in [*range(3, 65), 100, 127, 128, 255, 256, 511, 512, 1000, 1023, 1024]:
+        th = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+        bodies.append(polygon_from_vertices(np.column_stack((np.cos(th), np.sin(th)))))
+    for l in (0.5, 0.1, 0.01):
+        bodies += [rectangle(l)[0], isosceles_triangle(l)[0]]
+    bodies += [isosceles_triangle(5.0)[0], stadium(0.5, 1.0, 256)[0], disk(1.0, 256)[0]]
+    return bodies
+
+
+def test_diameter_calipers_matches_bruteforce(caliper_bodies):
+    for poly in caliper_bodies:
+        assert metrics(poly).diameter == pytest.approx(diameter_bruteforce(poly.vertices), rel=1e-12)
+
+
+def test_width_matches_direction_sampling(caliper_bodies):
+    for poly in caliper_bodies:
         m = metrics(poly)
-        sampled = width_sampled(poly.vertices)
         # the sampled set contains every edge normal, where the minimum lives
-        assert m.width == pytest.approx(sampled, rel=1e-9)
-
-
-def test_diameter_calipers_matches_bruteforce():
-    poly, _ = disk(1.0, 256)
-    m = metrics(poly)
-    assert m.diameter == pytest.approx(diameter_bruteforce(poly.vertices), rel=1e-12)
+        assert m.width == pytest.approx(width_sampled(poly.vertices), rel=1e-12)
+        # and the reported direction is an edge normal that attains it
+        u = np.asarray(m.width_direction)
+        assert np.any(np.all(poly.edge_normals == u, axis=1))
+        proj = poly.vertices @ u
+        assert proj.max() - proj.min() == pytest.approx(m.width, rel=1e-12)
 
 
 def test_inscribed_disk_fits(small_corpus):

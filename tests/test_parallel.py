@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import MU_F_SQUARE_LINEAR, profile_deque
+from oracles import MU_F_SQUARE_LINEAR, profile_deque, steiner_quotient_loop
 from webtorsion.errors import GridTooCoarse, ViolationFound
 from webtorsion.geometry import metrics
 from webtorsion.parallel import (
@@ -225,6 +225,14 @@ class TestSteiner:
             rep = steiner_check(profile(poly, W1, 64))
             assert rep.perimeter_node >= 1
             assert rep.area_node >= 1
+
+    def test_quotient_matches_loop(self, small_corpus):
+        bodies = small_corpus + [disk(1.0, 256)[0], stadium(0.5, 1.0, 256)[0], rectangle(0.1)[0]]
+        for m in (64, 512):
+            for poly in bodies:
+                pr = profile(poly, W1, m)
+                rep = steiner_check(pr)
+                assert (rep.quotient_slack, rep.quotient_node) == steiner_quotient_loop(pr)
 
     def test_fuzz_steiner(self, small_corpus):
         for poly in small_corpus[:30]:
