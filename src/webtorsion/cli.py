@@ -16,7 +16,7 @@ from .errors import WebTorsionError, ViolationFound
 from .geometry import metrics
 from .parallel import DEFAULT_GRID, WeightProfile, profile, steiner_check
 from .quantitative import theorem2_report, theorem3_report
-from .solver import richardson_T, solve_torsion, triangulate
+from .solver import P_MAX, P_MIN, richardson_T, solve_torsion, triangulate
 
 
 def _parse_weight(spec: str) -> WeightProfile:
@@ -33,8 +33,10 @@ def _parse_weight(spec: str) -> WeightProfile:
 
 def _parse_p(spec: str) -> float:
     p = float(spec)
-    if not (1.1 <= p <= 10.0):
-        raise argparse.ArgumentTypeError(f"p = {spec} outside the supported range [1.1, 10]")
+    if not (P_MIN <= p <= P_MAX):
+        raise argparse.ArgumentTypeError(
+            f"p = {spec} outside the supported range [{P_MIN:g}, {P_MAX:g}]"
+        )
     return p
 
 

@@ -29,10 +29,6 @@ class BadExponent(WebTorsionError):
     """Exponent p outside the admissible range."""
 
 
-class ZeroWeightAtOrigin(WebTorsionError):
-    """Weight must be strictly positive at distance zero."""
-
-
 class BadParameter(WebTorsionError):
     """Shape parameter outside its admissible range."""
 

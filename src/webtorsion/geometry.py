@@ -24,8 +24,8 @@ MIN_AREA = 1e-9
 
 
 def _shoelace(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    w = np.concatenate((v[1:], v[:1]))
+    return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,12 @@ class ConvexPolygon:
         if area <= 0.0:
             raise NonConvex("vertices are not in counter-clockwise order")
         # edge i runs from vertex i to vertex i + 1
-        e = np.roll(v, -1, axis=0) - v
+        e = np.concatenate((v[1:], v[:1])) - v
         length = np.linalg.norm(e, axis=1)
         # strict convexity at every corner: edge i - 1 turns left into edge i
-        ep = np.roll(e, 1, axis=0)
+        ep = np.concatenate((e[-1:], e[:-1]))
         cross = ep[:, 0] * e[:, 1] - ep[:, 1] * e[:, 0]
-        norm = np.roll(length, 1) * length
+        norm = np.concatenate((length[-1:], length[:-1])) * length
         if np.any(norm < MIN_VERTEX_SEP**2):
             raise Degenerate("duplicate vertices")
         if np.any(cross / norm <= 0.0):

@@ -143,15 +143,14 @@ class SuiteReport:
 
 
 def classical_inequality_suite(
-    polygon: ConvexPolygon,
-    steiner_grid: int | None = None,
-    rel_tol: float = SUITE_REL_TOL,
+    polygon: ConvexPolygon, steiner_grid: int | None = None
 ) -> SuiteReport:
     """Check the five planar windows, raising ViolationFound on any breach.
 
     When steiner_grid is given, the inner-parallel profile at that grid size
     is built and its Steiner inequalities are checked as well. All slacks are
-    normalized by the natural scale of their inequality.
+    normalized by the natural scale of their inequality; a window slack below
+    -SUITE_REL_TOL is a breach.
     """
     m = metrics(polygon)
     area, P, R, w, diam = m.area, m.perimeter, m.inradius, m.width, m.diameter
@@ -167,11 +166,11 @@ def classical_inequality_suite(
         "isoperimetric": (P * P - 4.0 * math.pi * area) / (P * P),
     }
     for name, slack in slacks.items():
-        if slack < -rel_tol:
+        if slack < -SUITE_REL_TOL:
             raise ViolationFound(name, slack)
     if steiner_grid is not None:
         prof = profile(polygon, WeightProfile.constant(1.0), steiner_grid)
-        rep = steiner_check(prof, rel_tol)
+        rep = steiner_check(prof)
         slacks["steiner_perimeter"] = rep.perimeter_slack / m.perimeter
         slacks["steiner_area"] = rep.area_slack / m.area
         slacks["steiner_quotient"] = rep.quotient_slack / (2.0 * math.pi)
@@ -308,10 +307,10 @@ def write_sequence_csv(rows: list[dict], stream) -> None:
         stream.write(",".join(_format_cell(row[c]) for c in SEQUENCE_COLUMNS) + "\n")
 
 
-def write_sequence_svg(rows: list[dict], stream, y_column: str = "F_p") -> None:
-    """Minimal static polyline chart of a sequence column against l."""
+def write_sequence_svg(rows: list[dict], stream) -> None:
+    """Minimal static polyline chart of F_p against l."""
     xs = [row["l"] for row in rows]
-    ys = [float(row[y_column]) for row in rows]
+    ys = [float(row["F_p"]) for row in rows]
     width, height, margin = 640, 480, 60
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
@@ -349,6 +348,6 @@ def write_sequence_svg(rows: list[dict], stream, y_column: str = "F_p") -> None:
         f'<text x="{width / 2:.0f}" y="{height - 15}" font-size="14" '
         f'text-anchor="middle">l</text>\n'
         f'<text x="18" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2:.0f})">{y_column}</text>\n'
+        f'transform="rotate(-90 18 {height / 2:.0f})">F_p</text>\n'
         "</svg>\n"
     )

@@ -10,24 +10,24 @@ one depth by clipping, independently of the skeleton.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridTooCoarse, ViolationFound
 from .geometry import (
-    MERGE_EPS,
-    MIN_VERTEX_SEP,
     BodyMetrics,
     ConvexPolygon,
     metrics,
+    _canonicalize,
     _shoelace,
     _skeleton,
 )
 
 DEFAULT_GRID = 512
 _MIN_GRID = 64
+# relative tolerance of the Steiner checks, read at call time
+STEINER_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,50 +118,34 @@ def _clip_halfplane(pts, nx, ny, b):
     return out
 
 
-def _cleanup_loop(pts, tol):
-    """Remove duplicate and collinear points from a convex loop."""
-    dedup = []
-    for p in pts:
-        if not dedup or math.hypot(p[0] - dedup[-1][0], p[1] - dedup[-1][1]) > tol:
-            dedup.append(p)
-    if len(dedup) >= 2 and math.hypot(
-        dedup[0][0] - dedup[-1][0], dedup[0][1] - dedup[-1][1]
-    ) <= tol:
-        dedup.pop()
-    if len(dedup) < 3:
-        return []
-    out = []
-    m = len(dedup)
-    for j in range(m):
-        a, p, c = dedup[j - 1], dedup[j], dedup[(j + 1) % m]
-        ux, uy = p[0] - a[0], p[1] - a[1]
-        wx, wy = c[0] - p[0], c[1] - p[1]
-        cross = ux * wy - uy * wx
-        norm = math.hypot(ux, uy) * math.hypot(wx, wy)
-        if norm == 0.0 or abs(cross) / norm < MERGE_EPS:
-            continue
-        out.append(p)
-    return out if len(out) >= 3 else []
+def _clip(pts, normals, offsets):
+    """Clip a convex loop by every half-plane n_i . x >= b_i.
+
+    Returns the clipped loop as a list of points, or [] as soon as fewer than
+    3 points remain.
+    """
+    for (nx, ny), b in zip(normals.tolist(), offsets.tolist()):
+        pts = _clip_halfplane(pts, nx, ny, b)
+        if len(pts) < 3:
+            return []
+    return pts
 
 
 def inner_body(polygon: ConvexPolygon, t: float):
-    """The body at depth t, or None when it is empty (t >= inradius)."""
+    """The body at depth t, or None when it is empty (t >= inradius).
+
+    The loop is clipped by the edge half-planes pushed inward by t and cleaned
+    by the rule that builds every polygon (``geometry._canonicalize``).
+    """
     if t < 0.0:
         raise ValueError("depth t must be non-negative")
     if t == 0.0:
         return polygon
-    n, b, _ = polygon._edges
-    pts = [(float(x), float(y)) for x, y in polygon.vertices]
-    for i in range(len(b)):
-        pts = _clip_halfplane(pts, float(n[i, 0]), float(n[i, 1]), float(b[i]) + t)
-        if len(pts) < 3:
-            return None
-    scale_len = float(np.max(np.abs(polygon.vertices))) + 1.0
-    pts = _cleanup_loop(pts, MIN_VERTEX_SEP * scale_len)
-    if len(pts) < 3:
+    if t >= metrics(polygon).inradius:
         return None
-    arr = np.asarray(pts)
-    if _shoelace(arr) <= 0.0:
+    n, b, _ = polygon._edges
+    arr = _canonicalize(_clip(polygon.vertices.tolist(), n, b + t))
+    if len(arr) < 3 or _shoelace(arr) <= 0.0:
         return None
     return ConvexPolygon(arr)
 
@@ -283,12 +267,13 @@ class SteinerReport:
         }
 
 
-def steiner_check(prof: ParallelProfile, rel_tol: float = 1e-9) -> SteinerReport:
+def steiner_check(prof: ParallelProfile) -> SteinerReport:
     """Verify P(t) <= P - 2 pi t, mu(t) >= area - P t + pi t^2 and -dP/dt >= 2 pi.
 
     Returns the minimal slacks, those of the first two over the nodes t > 0
     (at t = 0 both hold with equality by construction); raises ViolationFound
-    when a slack falls below -rel_tol times the natural scale of its inequality.
+    when a slack falls below -STEINER_REL_TOL times the natural scale of its
+    inequality.
     """
     m = prof.metrics
     t, P, mu = prof.t, prof.perimeters, prof.areas
@@ -307,10 +292,10 @@ def steiner_check(prof: ParallelProfile, rel_tol: float = 1e-9) -> SteinerReport
         area_slack=float(s2[i2]), area_node=i2,
         quotient_slack=float(q[i3]), quotient_node=i3,
     )
-    if report.perimeter_slack < -rel_tol * m.perimeter:
+    if report.perimeter_slack < -STEINER_REL_TOL * m.perimeter:
         raise ViolationFound("steiner-perimeter", report.perimeter_slack, i1)
-    if report.area_slack < -rel_tol * m.area:
+    if report.area_slack < -STEINER_REL_TOL * m.area:
         raise ViolationFound("steiner-area", report.area_slack, i2)
-    if report.quotient_slack < -rel_tol * 2 * np.pi:
+    if report.quotient_slack < -STEINER_REL_TOL * 2 * np.pi:
         raise ViolationFound("steiner-quotient", report.quotient_slack, i3)
     return report

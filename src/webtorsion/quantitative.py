@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import c_p, functional_F, q_exponent
 from .errors import BadExponent, ContainmentFailure
 from .geometry import BodyMetrics, ConvexPolygon, _shoelace, metrics
-from .parallel import _clip_halfplane
+from .parallel import _clip
 
 # constant of the intermediate inradius-deficit inequality, any value < 1/3 works
 QUANT_R_CONST = 1.0 / 6.0
@@ -152,17 +152,10 @@ def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None)
 
 def symdiff_ratio_geometric(polygon: ConvexPolygon, rect: EnclosingRectangle) -> float:
     """|Q| + |body| - 2 |Q intersect body| over |body|, by actual clipping."""
-    pts = [(float(x), float(y)) for x, y in polygon.vertices]
-    c = rect.corners
-    for i in range(4):
-        a, b = c[i], c[(i + 1) % 4]
-        e = b - a
-        nlen = float(np.hypot(*e))
-        nx, ny = -e[1] / nlen, e[0] / nlen
-        off = nx * a[0] + ny * a[1]
-        pts = _clip_halfplane(pts, nx, ny, off)
-        if len(pts) < 3:
-            return math.inf
+    n, b, _ = ConvexPolygon(rect.corners)._edges
+    pts = _clip(polygon.vertices.tolist(), n, b)
+    if not pts:
+        return math.inf
     inter = _shoelace(np.asarray(pts))
     area_q = rect.long_side * rect.short_side
     area_b = polygon._area

@@ -22,6 +22,8 @@ from .errors import BadExponent, NoConvergence, NonMonotoneConvergence, TooFine
 from .geometry import BodyMetrics, ConvexPolygon, metrics
 from .parallel import WeightProfile
 
+# supported exponent range of the solver and of the CLI's --p options
+P_MIN, P_MAX = 1.1, 10.0
 _MAX_NODES = 2_000_000
 _MAX_ITERS = 100_000
 # Armijo trial steps per line search, halving from the first
@@ -271,8 +273,8 @@ def solve_torsion(
     relative energy decrease stays below tol over 10 successive iterations.
     Raises NoConvergence when the line search or the iteration cap runs out.
     """
-    if not (1.1 <= p <= 10.0):
-        raise BadExponent(f"p = {p!r} outside the supported range [1.1, 10]")
+    if not (P_MIN <= p <= P_MAX):
+        raise BadExponent(f"p = {p!r} outside the supported range [{P_MIN:g}, {P_MAX:g}]")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     idx = mesh._free

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import MU_F_SQUARE_LINEAR, profile_deque, steiner_quotient_loop
 from webtorsion.errors import GridTooCoarse, ViolationFound
-from webtorsion.geometry import metrics
+from webtorsion.geometry import metrics, scale
 from webtorsion.parallel import (
     ParallelProfile,
     WeightProfile,
@@ -65,6 +65,20 @@ class TestInnerBody:
     def test_square_empty_at_inradius(self, unit_square):
         assert inner_body(unit_square, 0.5) is None
         assert inner_body(unit_square, 0.7) is None
+
+    def test_empty_at_inradius_on_large_bodies(self, small_corpus):
+        for poly in small_corpus:
+            big = scale(poly, 1e3)
+            assert inner_body(big, metrics(big).inradius) is None
+
+    def test_sliver_just_below_inradius(self):
+        # the 500 x 2e-12 inner body of a thin rectangle is a true body
+        l = 0.002
+        poly, _ = rectangle(l)
+        t = metrics(poly).inradius * (1.0 - 1e-9)
+        ib = inner_body(poly, t)
+        assert ib is not None
+        assert ib._area == pytest.approx((1.0 / l - 2.0 * t) * (l - 2.0 * t), rel=1e-6)
 
     def test_zero_depth_is_identity(self, unit_square):
         assert inner_body(unit_square, 0.0) is unit_square
