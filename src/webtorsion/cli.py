@@ -216,10 +216,9 @@ def _run(args) -> int:
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 harness.write_sequence_svg(rows, fh)
-        ok = all(r["theorem2_ok"] for r in rows) and all(
-            r["theorem3_ok"] in (True, "") for r in rows
-        )
-        return 0 if ok else 2
+        # the verdicts of DeficitReport.all_ok; a blank cell is no verdict
+        verdicts = ("theorem2_ok", "theorem3_ok", "quantitative_R_ok")
+        return 2 if any(r[c] is False for r in rows for c in verdicts) else 0
 
     if args.command == "fuzz":
         cfg = harness.FuzzConfig(seed=args.seed, count=args.n)

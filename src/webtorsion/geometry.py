@@ -95,9 +95,6 @@ class ConvexPolygon:
             np.minimum(out, pts @ n[i] - b[i], out=out)
         return out
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return self.signed_distance(points) >= -tol
-
 
 @dataclass(frozen=True)
 class BodyMetrics:

@@ -99,9 +99,6 @@ class WeightProfile:
 def _clip_halfplane(pts, nx, ny, b):
     """Sutherland-Hodgman clip of a convex loop against n . x >= b."""
     out = []
-    m = len(pts)
-    if m == 0:
-        return out
     px, py = pts[-1]
     pd = nx * px + ny * py - b
     for qx, qy in pts:
@@ -118,19 +115,6 @@ def _clip_halfplane(pts, nx, ny, b):
     return out
 
 
-def _clip(pts, normals, offsets):
-    """Clip a convex loop by every half-plane n_i . x >= b_i.
-
-    Returns the clipped loop as a list of points, or [] as soon as fewer than
-    3 points remain.
-    """
-    for (nx, ny), b in zip(normals.tolist(), offsets.tolist()):
-        pts = _clip_halfplane(pts, nx, ny, b)
-        if len(pts) < 3:
-            return []
-    return pts
-
-
 def inner_body(polygon: ConvexPolygon, t: float):
     """The body at depth t, or None when it is empty (t >= inradius).
 
@@ -144,7 +128,12 @@ def inner_body(polygon: ConvexPolygon, t: float):
     if t >= metrics(polygon).inradius:
         return None
     n, b, _ = polygon._edges
-    arr = _canonicalize(_clip(polygon.vertices.tolist(), n, b + t))
+    pts = polygon.vertices.tolist()
+    for (nx, ny), bi in zip(n.tolist(), (b + t).tolist()):
+        pts = _clip_halfplane(pts, nx, ny, bi)
+        if len(pts) < 3:
+            return None
+    arr = _canonicalize(pts)
     if len(arr) < 3 or _shoelace(arr) <= 0.0:
         return None
     return ConvexPolygon(arr)

@@ -5,19 +5,23 @@ p = 2, by a cubic power of the symmetric-difference distance to an enclosing
 rectangle Q with sides P/2 and w. The threshold sigma splits the proof into a
 large-deficit branch (where D <= 2 suffices) and a small-deficit branch that
 also passes through the inradius-deficit inequality.
+
+Both objects come from closed forms. sigma is K(2) times the least of the
+three admissible maxima of its branch-split constraints. Q is placed from the
+width direction and the vertex projections, checked once to contain every
+vertex within 1e-12 (max|v| + 1). Since Q contains the body, the ratio
+D = |Q symdiff body| / area is (|Q| - area) / area = P w / (2 area) - 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .bounds import c_p, functional_F, q_exponent
 from .errors import BadExponent, ContainmentFailure
-from .geometry import BodyMetrics, ConvexPolygon, _shoelace, metrics
-from .parallel import _clip
+from .geometry import BodyMetrics, ConvexPolygon, metrics
 
 # constant of the intermediate inradius-deficit inequality, any value < 1/3 works
 QUANT_R_CONST = 1.0 / 6.0
@@ -32,45 +36,17 @@ def K_of_p(p: float) -> float:
     return (p - 1.0) * p / (2.0 ** q_exponent(p) * 3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0))
 
 
-def _bisect_root(fn, lo: float, hi: float, tol: float = 1e-14) -> float:
-    """Largest x with fn(x) >= 0 for a decreasing fn, by bisection."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo < 0.0:
-        raise ValueError("no admissible value at the lower bracket")
-    if fhi >= 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-@lru_cache(maxsize=None)
 def sigma_threshold() -> float:
     """Largest sigma > 0 satisfying the three branch-split constraints at K(2).
 
-    Each constraint is monotone in sigma, so the admissible maxima are found
-    by bisection to 1e-14 and the minimum is returned. The binding constraint
-    is the third one, giving sigma/K(2) = sqrt(3)/2 - 8/(3 pi).
+    With x = sigma / K(2) the constraints read x <= 3/(4 pi),
+    pi^2 x^2 / 96 + pi x / 48 <= 1/162 and x <= sqrt(3)/2 - 8/(3 pi); the
+    third one binds.
     """
-    K2 = K_of_p(2.0)
-
-    def g1(s):
-        return 1.0 / (4.0**3 * 6.0) - math.pi**2 / (2.0**3 * 3.0**3) * (s / K2) ** 2
-
-    def g2(s):
-        x = s / K2
-        return 1.0 / (3.0**3 * 6.0) - math.pi / 48.0 * x - math.pi**2 / (2.0**5 * 3.0) * x * x
-
-    def g3(s):
-        return math.pi / 4.0 - math.pi / (2.0 * math.sqrt(3.0)) * (s / K2) - 4.0 / (
-            3.0 * math.sqrt(3.0)
-        )
-
-    return min(_bisect_root(g, 0.0, 1.0) for g in (g1, g2, g3))
+    a, b = math.pi**2 / 96.0, math.pi / 48.0
+    x2 = (math.sqrt(b * b + 4.0 * a / 162.0) - b) / (2.0 * a)
+    x3 = math.sqrt(3.0) / 2.0 - 8.0 / (3.0 * math.pi)
+    return K_of_p(2.0) * min(3.0 / (4.0 * math.pi), x2, x3)
 
 
 def k_tilde() -> float:
@@ -103,7 +79,11 @@ class EnclosingRectangle:
 
 
 def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None) -> EnclosingRectangle:
-    """Build Q and the closed-form ratio D = |Q symdiff body| / area = P w / (2 area) - 1."""
+    """Build Q and the closed-form ratio D = |Q symdiff body| / area = P w / (2 area) - 1.
+
+    Raises ContainmentFailure when a vertex lies more than 1e-12 (max|v| + 1)
+    outside Q.
+    """
     if body is None:
         body = metrics(polygon)
     u = np.asarray(body.width_direction, dtype=float)
@@ -116,30 +96,21 @@ def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None)
     u_lo = proj_u.min()
     v_lo, v_hi = mid_v - long_side / 2.0, mid_v + long_side / 2.0
     u_hi = u_lo + short_side
-    pad = 0.0
-    scale_len = float(np.max(np.abs(polygon.vertices))) + 1.0
-    for _ in range(2):
-        ok = (
-            (proj_u >= u_lo - pad - 1e-12 * scale_len)
-            & (proj_u <= u_hi + pad + 1e-12 * scale_len)
-            & (proj_v >= v_lo - pad - 1e-12 * scale_len)
-            & (proj_v <= v_hi + pad + 1e-12 * scale_len)
-        )
-        if ok.all():
-            break
-        pad = 1e-12 * scale_len
-    else:
+    tol = 1e-12 * (float(np.max(np.abs(polygon.vertices))) + 1.0)
+    # u_lo is the least u-projection, so only three sides can be crossed
+    if not (
+        proj_u.max() <= u_hi + tol and v_lo - tol <= proj_v.min() and proj_v.max() <= v_hi + tol
+    ):
         raise ContainmentFailure("body vertices escape the enclosing rectangle")
+    # (u, vdir) is a right-handed frame, so these corners run counter-clockwise
     corners = np.array(
         [
-            (u_lo - pad) * u + (v_lo - pad) * vdir,
-            (u_hi + pad) * u + (v_lo - pad) * vdir,
-            (u_hi + pad) * u + (v_hi + pad) * vdir,
-            (u_lo - pad) * u + (v_hi + pad) * vdir,
+            u_lo * u + v_lo * vdir,
+            u_hi * u + v_lo * vdir,
+            u_hi * u + v_hi * vdir,
+            u_lo * u + v_hi * vdir,
         ]
     )
-    if _shoelace(corners) < 0.0:
-        corners = corners[::-1]
     ratio = body.perimeter * body.width / (2.0 * body.area) - 1.0
     return EnclosingRectangle(
         width_direction=(float(u[0]), float(u[1])),
@@ -148,18 +119,6 @@ def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None)
         corners=corners,
         symdiff_ratio=ratio,
     )
-
-
-def symdiff_ratio_geometric(polygon: ConvexPolygon, rect: EnclosingRectangle) -> float:
-    """|Q| + |body| - 2 |Q intersect body| over |body|, by actual clipping."""
-    n, b, _ = ConvexPolygon(rect.corners)._edges
-    pts = _clip(polygon.vertices.tolist(), n, b)
-    if not pts:
-        return math.inf
-    inter = _shoelace(np.asarray(pts))
-    area_q = rect.long_side * rect.short_side
-    area_b = polygon._area
-    return (area_q + area_b - 2.0 * inter) / area_b
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Everything here is deliberately written against a different formulation than
 the library (series, quadrature, direction sampling, a linear program for the
 inscribed disk, a half-plane intersection per profile node, element-by-element
-stiffness assembly, a loop over the Steiner difference quotients) so the two
-can act as mutual checks.
+stiffness assembly, a loop over the Steiner difference quotients, bisection
+for the theorem 3 threshold, clipping for the body-rectangle symmetric
+difference) so the two can act as mutual checks.
 """
 import math
 from collections import deque
@@ -213,3 +214,61 @@ def stiffness_coo(nodes, triangles):
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
+
+
+def sigma_bisection() -> float:
+    """Largest sigma with all three theorem 3 branch-split constraints at
+    K(2) = 1/72, each solved by bisection on [0, 1] to 1e-14 in sigma."""
+    K2 = 1.0 / 72.0
+
+    def g1(s):
+        return 1.0 / (4.0**3 * 6.0) - math.pi**2 / (2.0**3 * 3.0**3) * (s / K2) ** 2
+
+    def g2(s):
+        x = s / K2
+        return 1.0 / (3.0**3 * 6.0) - math.pi / 48.0 * x - math.pi**2 / (2.0**5 * 3.0) * x * x
+
+    def g3(s):
+        return math.pi / 4.0 - math.pi / (2.0 * math.sqrt(3.0)) * (s / K2) - 4.0 / (
+            3.0 * math.sqrt(3.0)
+        )
+
+    def largest_admissible(fn):
+        lo, hi = 0.0, 1.0
+        assert fn(lo) >= 0.0
+        if fn(hi) >= 0.0:
+            return hi
+        while hi - lo > 1e-14:
+            mid = 0.5 * (lo + hi)
+            if fn(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return min(largest_admissible(g) for g in (g1, g2, g3))
+
+
+def symdiff_ratio_clipped(polygon, rect) -> float:
+    """(|Q| + |body| - 2 |Q intersect body|) / |body|, with the intersection
+    clipped from the body edge by edge of Q (a point is kept when it lies left
+    of the counter-clockwise edge)."""
+    pts = [tuple(v) for v in polygon.vertices.tolist()]
+    corners = [tuple(c) for c in np.asarray(rect.corners, dtype=float).tolist()]
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        side = [(bx - ax) * (y - ay) - (by - ay) * (x - ax) for x, y in pts]
+        out = []
+        for j in range(len(pts)):
+            k = (j + 1) % len(pts)
+            if side[j] >= 0.0:
+                out.append(pts[j])
+            if (side[j] >= 0.0) != (side[k] >= 0.0):
+                s = side[j] / (side[j] - side[k])
+                out.append((pts[j][0] + s * (pts[k][0] - pts[j][0]),
+                            pts[j][1] + s * (pts[k][1] - pts[j][1])))
+        pts = out
+        if len(pts) < 3:
+            return math.inf
+    inter, _ = loop_area_perimeter(pts)
+    area_b, _ = loop_area_perimeter(polygon.vertices.tolist())
+    return (rect.long_side * rect.short_side + area_b - 2.0 * inter) / area_b

@@ -120,6 +120,19 @@ def test_deficit_nonzero_exit_on_false_verdict(square_file, capsys, monkeypatch)
     assert cli_dispatch(["deficit", square_file, "--p", "2", "--h", "0.1"]) == 2
 
 
+def test_sequence_exit_follows_every_verdict(rect_file, capsys, monkeypatch):
+    import webtorsion.quantitative as quant
+
+    # every body lands on the small-deficit branch, where only the
+    # inradius-deficit inequality fails
+    monkeypatch.setattr(quant, "sigma_threshold", lambda: 1.0)
+    monkeypatch.setattr(quant, "QUANT_R_CONST", 1e9)
+    assert cli_dispatch(["sequence", "--kind", "rectangle", "--l", "0.4", "--grid", "64"]) == 2
+    row = capsys.readouterr().out.splitlines()[1]
+    assert ",small-deficit,true,false," in row
+    assert cli_dispatch(["deficit", rect_file, "--h", "0.02"]) == 2
+
+
 def test_sequence_command(tmp_path, capsys):
     out = tmp_path / "seq.csv"
     svg = tmp_path / "seq.svg"
@@ -145,6 +158,23 @@ def test_fuzz_deterministic_output(capsys):
     first = capsys.readouterr().out
     assert cli_dispatch(["fuzz", "--n", "30", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("grid", [None, 64])
+def test_fuzz_worst_per_inequality(grid, capsys):
+    argv = ["fuzz", "--n", "40", "--seed", "3"] + ([] if grid is None else ["--grid", str(grid)])
+    assert cli_dispatch(argv) == 0
+    worst = json.loads(capsys.readouterr().out)["worst"]
+    cfg = harness.FuzzConfig(seed=3, count=40)
+    slacks = [
+        harness.classical_inequality_suite(harness.random_convex_body(cfg, i), grid).slacks
+        for i in range(cfg.count)
+    ]
+    assert set(worst) == set(slacks[0])
+    for name, entry in worst.items():
+        column = [s[name] for s in slacks]
+        assert entry["slack"] == min(column)
+        assert entry["body"] == column.index(min(column))
 
 
 def test_planted_violation_flips_fuzz_exit(capsys, monkeypatch):

@@ -1,10 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import T_DISK_P2, T_UNIT_SQUARE, torsion_rectangle_series
-from webtorsion.errors import BadExponent
+from oracles import (
+    T_DISK_P2,
+    T_UNIT_SQUARE,
+    sigma_bisection,
+    symdiff_ratio_clipped,
+    torsion_rectangle_series,
+)
+from webtorsion.errors import BadExponent, ContainmentFailure
 from webtorsion.geometry import metrics, polygon_from_vertices
 from webtorsion.parallel import WeightProfile
 from webtorsion.quantitative import (
@@ -12,7 +19,6 @@ from webtorsion.quantitative import (
     enclosing_rectangle,
     k_tilde,
     sigma_threshold,
-    symdiff_ratio_geometric,
     theorem2_report,
     theorem3_report,
 )
@@ -46,6 +52,7 @@ class TestConstants:
         # the third constraint binds
         assert sigma == pytest.approx(K2 * min(x1, x2, x3), rel=1e-10)
         assert sigma == pytest.approx(2.3888e-4, rel=1e-4)
+        assert sigma == pytest.approx(sigma_bisection(), rel=1e-10)
 
     def test_k_tilde(self):
         kt = k_tilde()
@@ -73,9 +80,15 @@ class TestEnclosingRectangle:
         assert rect.symdiff_ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_geometric_ratio_matches_closed_form(self, small_corpus):
-        for poly in small_corpus[:20]:
+        named = [
+            disk(1.0, 256)[0],
+            stadium(0.5, 1.0, 256)[0],
+            rectangle(0.01)[0],
+            isosceles_triangle(0.05)[0],
+        ]
+        for poly in small_corpus[:20] + named:
             rect = enclosing_rectangle(poly)
-            geo = symdiff_ratio_geometric(poly, rect)
+            geo = symdiff_ratio_clipped(poly, rect)
             assert geo == pytest.approx(rect.symdiff_ratio, rel=1e-9, abs=1e-9)
             assert 0.0 < rect.symdiff_ratio <= 2.0 + 1e-12
 
@@ -89,6 +102,12 @@ class TestEnclosingRectangle:
             for i in range(4):
                 d = poly.vertices @ normals[i] - normals[i] @ c[i]
                 assert d.min() >= -1e-9
+
+    def test_escaping_vertex_raises(self, unit_square):
+        # a strip of half the width cannot hold the body
+        body = metrics(unit_square)
+        with pytest.raises(ContainmentFailure):
+            enclosing_rectangle(unit_square, replace(body, width=0.5 * body.width))
 
 
 class TestTheorem2:
