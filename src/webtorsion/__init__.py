@@ -12,13 +12,8 @@ from .bounds import (
     c_p,
     functional_F,
     functional_H_half,
-    inf_weight_lower,
     makai_upper,
     q_exponent,
-    web_lower_closed,
-    web_lower_integral,
-    web_lower_refined,
-    web_lower_refined_general,
 )
 from .geometry import (
     BodyMetrics,
@@ -97,7 +92,6 @@ __all__ = [
     "functional_F",
     "functional_H_half",
     "fuzz_suite",
-    "inf_weight_lower",
     "inner_body",
     "isosceles_triangle",
     "k_tilde",
@@ -122,8 +116,4 @@ __all__ = [
     "theorem3_report",
     "torsion_p_ball",
     "triangulate",
-    "web_lower_closed",
-    "web_lower_integral",
-    "web_lower_refined",
-    "web_lower_refined_general",
 ]

@@ -1,14 +1,24 @@
 """Lower bounds for the weighted p-torsion and the scale-invariant functionals.
 
-In the continuum every bound here is a lower bound for T_{f,p}, and they are
-ordered closed <= refined <= integral <= T. The refined bound's shrink term
-is a right-endpoint lower sum of a non-increasing integrand (an
-under-estimate) and the integral bound is the trapezoid rule on a convex
-integrand (an over-estimate), which keeps refined <= integral on the grid.
-The over-estimate can carry the integral bound above T where the web bound is
-nearly tight: at p = 2 with a constant weight, integral / T - 1 measures
-+1.13e-4 for rectangle(0.005) at m = 64 and +1.54e-6 for rectangle(0.001) at
-m = 512 (ROADMAP item 2).
+``bound_report(prof, p)`` is the one entry to the bound chain. Every bound is
+a functional of a single inner-parallel profile, so the weight f, the body's
+metrics and mu_f(0) are read from the profile and cannot disagree with it:
+
+- closed: c_p mu_f(0)^{q+1} / (f(0) P^q);
+- refined: the closed bound plus a perimeter-shrink correction for constant
+  f, or a weight-decay correction for the other weights;
+- integral: the web test-field value, the integral over [0, R] of
+  mu_f^q / P^{1/(p-1)};
+- inf_weight: the variational bound (inf f)^q c_p area^{q+1} / P^q.
+
+In the continuum they are ordered closed <= refined <= integral <= T. The
+shrink correction is a right-endpoint lower sum of a non-increasing
+integrand (an under-estimate) and the integral bound is the trapezoid rule on
+a convex integrand (an over-estimate), which keeps refined <= integral on the
+grid. The over-estimate can carry the integral bound above T where the web
+bound is nearly tight: at p = 2 with a constant weight, integral / T - 1
+measures +1.13e-4 for rectangle(0.005) at m = 64 and +1.54e-6 for
+rectangle(0.001) at m = 512 (ROADMAP item 2).
 """
 from __future__ import annotations
 
@@ -18,7 +28,7 @@ import numpy as np
 
 from .errors import BadExponent
 from .geometry import BodyMetrics
-from .parallel import ParallelProfile, WeightProfile
+from .parallel import ParallelProfile
 
 
 def q_exponent(p: float) -> float:
@@ -56,14 +66,11 @@ def functional_H_half(T: float, body: BodyMetrics) -> float:
     return body.perimeter * np.sqrt(T) / body.area**1.5
 
 
-def web_lower_integral(prof: ParallelProfile, p: float) -> float:
-    """Trapezoid value of the web test-field bound.
+def _web_integral(prof: ParallelProfile, p: float) -> float:
+    """Trapezoid value of the integral of mu_f^q / P^{1/(p-1)} over [0, R].
 
-    T >= integral over [0, R] of mu_f^{p/(p-1)}(t) / P^{1/(p-1)}(t) dt; the
-    integrand is forced to 0 where P vanishes (it tends to 0 there) and at
-    the inradius endpoint. The trapezoid rule over-estimates this convex
-    integrand, so on thin bodies the sampled value can exceed T (see the
-    module docstring).
+    The integrand is forced to 0 where P vanishes (it tends to 0 there) and
+    at the inradius endpoint.
     """
     q = q_exponent(p)
     P, mu_f = prof.perimeters, prof.weighted
@@ -74,73 +81,35 @@ def web_lower_integral(prof: ParallelProfile, p: float) -> float:
     return float(np.trapezoid(g, prof.t))
 
 
-def web_lower_closed(body: BodyMetrics, weight: WeightProfile, mu_f_total: float, p: float) -> float:
-    """Closed-form bound c_p mu_f(body)^{q+1} / (f(0) P^q)."""
+def _refinement(prof: ParallelProfile, p: float) -> float:
+    """The refined bound minus the closed bound, never negative.
+
+    Constant f: c_p q f(0)^q times the integral of (mu/P)^gamma (-P') dt,
+    gamma = (2p-1)/(p-1), which recovers the full web integral in the
+    continuum. Since mu/P is non-increasing and -P' >= 0, pairing each
+    subinterval's exact perimeter drop with the right-endpoint value of
+    (mu/P)^gamma gives a guaranteed under-estimate.
+
+    Other f: c_p / P^q times the trapezoid value of the integral of
+    mu_f^gamma / f^2 (-f') dt, with f' from the weight's analytic slope.
+    """
     q = q_exponent(p)
-    return c_p(p) * mu_f_total ** (q + 1.0) / (weight(0.0) * body.perimeter**q)
-
-
-def shrink_term(prof: ParallelProfile, p: float) -> float:
-    """Lower sum of the perimeter-shrink correction for constant weights.
-
-    The continuum term is the integral of (mu/P)^{(2p-1)/(p-1)} (-P') dt.
-    Since mu/P is non-increasing and -P' >= 0, pairing each subinterval's
-    exact perimeter drop with the right-endpoint value of (mu/P)^gamma gives
-    a guaranteed under-estimate.
-    """
-    gamma = q_exponent(p) + 1.0
-    P, mu = prof.perimeters, prof.areas
-    phi = np.zeros_like(P)
-    live = P > 0.0
-    phi[live] = (mu[live] / P[live]) ** gamma
-    drops = np.maximum(P[:-1] - P[1:], 0.0)
-    return float(np.sum(drops * phi[1:]))
-
-
-def weight_slope_term(prof: ParallelProfile, weight: WeightProfile, p: float) -> float:
-    """Trapezoid value of the weight-decay correction for general weights.
-
-    The continuum term is the integral of mu_f^{(2p-1)/(p-1)} / f^2 (-f') dt,
-    taken in closed form from the weight's analytic slope.
-    """
-    gamma = q_exponent(p) + 1.0
+    gamma = q + 1.0
+    w = prof.weight
+    if w.is_constant:
+        P, mu = prof.perimeters, prof.areas
+        phi = np.zeros_like(P)
+        live = P > 0.0
+        phi[live] = (mu[live] / P[live]) ** gamma
+        drops = np.maximum(P[:-1] - P[1:], 0.0)
+        return c_p(p) * q * w(0.0) ** q * float(np.sum(drops * phi[1:]))
     t, mu_f = prof.t, prof.weighted
-    fvals = np.asarray(weight(t))
-    slopes = -np.asarray(weight.derivative(t))
+    fvals = np.asarray(w(t))
+    slopes = -np.asarray(w.derivative(t))
     g = np.zeros_like(mu_f)
     live = fvals > 0.0
     g[live] = mu_f[live] ** gamma / fvals[live] ** 2 * slopes[live]
-    return max(float(np.trapezoid(g, t)), 0.0)
-
-
-def web_lower_refined_general(prof: ParallelProfile, weight: WeightProfile, p: float) -> float:
-    """Closed bound plus the weight-decay correction (zero for constant f)."""
-    closed = web_lower_closed(prof.metrics, weight, prof.mu_f_total, p)
-    q = q_exponent(p)
-    extra = c_p(p) / prof.metrics.perimeter**q * weight_slope_term(prof, weight, p)
-    return closed + extra
-
-
-def web_lower_refined(prof: ParallelProfile, weight: WeightProfile, p: float) -> float:
-    """Refined lower bound, always at least the closed bound.
-
-    Constant weights use the perimeter-shrink form (which recovers the full
-    web integral in the continuum); non-constant weights add the weight-decay
-    correction to the closed bound.
-    """
-    if weight.is_constant:
-        closed = web_lower_closed(prof.metrics, weight, prof.mu_f_total, p)
-        q = q_exponent(p)
-        scale_f = weight(0.0) ** q
-        return closed + c_p(p) * q * scale_f * shrink_term(prof, p)
-    return web_lower_refined_general(prof, weight, p)
-
-
-def inf_weight_lower(body: BodyMetrics, weight: WeightProfile, p: float) -> float:
-    """Variational bound (inf f)^q c_p area^{q+1} / P^q."""
-    q = q_exponent(p)
-    inf_f = float(weight(body.inradius))  # non-increasing weight attains inf at R
-    return inf_f**q * c_p(p) * body.area ** (q + 1.0) / body.perimeter**q
+    return c_p(p) / prof.metrics.perimeter**q * max(float(np.trapezoid(g, t)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -171,14 +140,19 @@ class BoundSet:
 
 def bound_report(prof: ParallelProfile, p: float) -> BoundSet:
     """Evaluate every bound on a profile and package them with the F_p window."""
-    w = prof.weight
+    q = q_exponent(p)
+    cp = c_p(p)
+    body, w = prof.metrics, prof.weight
+    closed = cp * prof.mu_f_total ** (q + 1.0) / (w(0.0) * body.perimeter**q)
+    # a non-increasing weight attains its infimum at the inradius
+    inf_f = float(w(body.inradius))
     return BoundSet(
         p=p,
-        q=q_exponent(p),
-        c_p=c_p(p),
-        closed=web_lower_closed(prof.metrics, w, prof.mu_f_total, p),
-        refined=web_lower_refined(prof, w, p),
-        integral=web_lower_integral(prof, p),
-        inf_weight=inf_weight_lower(prof.metrics, w, p),
-        f_p_window=(c_p(p), makai_upper(p)),
+        q=q,
+        c_p=cp,
+        closed=closed,
+        refined=closed + _refinement(prof, p),
+        integral=_web_integral(prof, p),
+        inf_weight=inf_f**q * cp * body.area ** (q + 1.0) / body.perimeter**q,
+        f_p_window=(cp, makai_upper(p)),
     )

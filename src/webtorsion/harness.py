@@ -63,6 +63,8 @@ class FuzzConfig:
     tau_max: float = 1.0
 
     def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"corpus size {self.count} must be non-negative")
         if not (3 <= self.min_vertices <= self.max_vertices <= 64):
             raise ValueError("vertex-count range must sit inside [3, 64]")
         if not (0.0 < self.tau_min <= self.tau_max <= 1.0):

@@ -149,7 +149,6 @@ class ParallelProfile:
     weighted: np.ndarray
     metrics: BodyMetrics
     weight: WeightProfile
-    polygon: ConvexPolygon
 
     def __post_init__(self):
         for name in ("t", "perimeters", "areas", "weighted"):
@@ -230,7 +229,7 @@ def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID
         mu_f = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     return ParallelProfile(
         t=ts, perimeters=P, areas=mu, weighted=mu_f,
-        metrics=body, weight=weight, polygon=polygon,
+        metrics=body, weight=weight,
     )
 
 

@@ -204,6 +204,17 @@ def stadium_of_width(l: float, k: int = 256):
     return stadium(r, a, k)
 
 
+def _param(desc: dict, key: str, cast=float, default=None):
+    """desc[key] converted by cast; BadParameter names a missing or ill-typed key."""
+    if key not in desc and default is None:
+        raise BadParameter(f"shape descriptor {desc!r} lacks {key!r}")
+    value = desc.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise BadParameter(f"shape descriptor key {key!r} has ill-typed value {value!r}") from None
+
+
 def from_descriptor(desc: dict):
     """Resolve a shape descriptor into (polygon, record or None).
 
@@ -213,14 +224,15 @@ def from_descriptor(desc: dict):
     if not isinstance(desc, dict):
         raise BadParameter("shape descriptor must be a JSON object")
     if "vertices" in desc:
-        return polygon_from_vertices(np.asarray(desc["vertices"], dtype=float)), None
+        vertices = _param(desc, "vertices", lambda v: np.asarray(v, dtype=float))
+        return polygon_from_vertices(vertices), None
     name = desc.get("shape")
     if name == "rectangle":
-        return rectangle(float(desc["l"]))
+        return rectangle(_param(desc, "l"))
     if name == "triangle":
-        return isosceles_triangle(float(desc["l"]))
+        return isosceles_triangle(_param(desc, "l"))
     if name == "stadium":
-        return stadium(float(desc["r"]), float(desc["a"]), int(desc.get("k", 256)))
+        return stadium(_param(desc, "r"), _param(desc, "a"), _param(desc, "k", int, 256))
     if name == "disk":
-        return disk(float(desc.get("R", 1.0)), int(desc.get("k", 256)))
+        return disk(_param(desc, "R", float, 1.0), _param(desc, "k", int, 256))
     raise BadParameter(f"unknown shape descriptor {desc!r}")

@@ -290,8 +290,9 @@ def solve_torsion(
     if p == 2.0:
         u[idx] = u2
         T = float(F @ u)
-        J = 0.5 * float(u2 @ (K_ff @ u2)) - T
-        res = float(np.linalg.norm(K_ff @ u2 - F_f))
+        Ku = K_ff @ u2
+        J = 0.5 * float(u2 @ Ku) - T
+        res = float(np.linalg.norm(Ku - F_f))
         return TorsionResult(mesh, u, p, weight, J, T, 1, res)
 
     G = mesh._gradient

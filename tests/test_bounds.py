@@ -10,18 +10,15 @@ from oracles import (
     torsion_rectangle_series,
     web_integral_quad,
 )
+import webtorsion
+import webtorsion.bounds
 from webtorsion.bounds import (
     bound_report,
     c_p,
     functional_F,
     functional_H_half,
-    inf_weight_lower,
     makai_upper,
     q_exponent,
-    web_lower_closed,
-    web_lower_integral,
-    web_lower_refined,
-    web_lower_refined_general,
 )
 from webtorsion.errors import BadExponent
 from webtorsion.geometry import metrics, scale
@@ -51,7 +48,7 @@ def test_constants():
 class TestIntegralBound:
     def test_square(self, unit_square):
         pr = profile(unit_square, W1, 512)
-        val = web_lower_integral(pr, 2.0)
+        val = bound_report(pr, 2.0).integral
         assert val == pytest.approx(WEB_INTEGRAL_SQUARE, rel=1e-5)
         # trapezoid of a convex integrand sits above the true integral
         assert val >= WEB_INTEGRAL_SQUARE - 1e-15
@@ -60,14 +57,14 @@ class TestIntegralBound:
         # the web bound is tight on disks: integral = pi/8 for the unit disk
         poly, _ = disk(1.0, 256)
         pr = profile(poly, W1, 512)
-        assert web_lower_integral(pr, 2.0) == pytest.approx(T_DISK_P2, rel=1e-3)
+        assert bound_report(pr, 2.0).integral == pytest.approx(T_DISK_P2, rel=1e-3)
 
     def test_scaling_law(self, unit_square):
         # scale t multiplies the bound by t^{2+q}
         pr1 = profile(unit_square, W1, 256)
         pr2 = profile(scale(unit_square, 2.0), W1, 256)
-        v1 = web_lower_integral(pr1, 2.0)
-        v2 = web_lower_integral(pr2, 2.0)
+        v1 = bound_report(pr1, 2.0).integral
+        v2 = bound_report(pr2, 2.0).integral
         assert v2 == pytest.approx(16.0 * v1, rel=1e-9)
 
     def test_against_quadrature_oracle(self, small_corpus):
@@ -78,12 +75,12 @@ class TestIntegralBound:
             mu_f = lambda t: float(np.interp(t, pr.t, pr.weighted))
             per = lambda t: float(np.interp(t, pr.t, pr.perimeters))
             oracle = web_integral_quad(mu_f, per, pr.metrics.inradius, 2.0)
-            assert web_lower_integral(pr, 2.0) == pytest.approx(oracle, rel=1e-4)
+            assert bound_report(pr, 2.0).integral == pytest.approx(oracle, rel=1e-4)
 
     def test_bad_exponent(self, unit_square):
         pr = profile(unit_square, W1, 64)
         with pytest.raises(BadExponent):
-            web_lower_integral(pr, 1.0)
+            bound_report(pr, 1.0)
 
     @pytest.mark.xfail(
         strict=True,
@@ -94,13 +91,13 @@ class TestIntegralBound:
         # at m = 64 and +1.54e-6 for rectangle(0.001) at m = 512
         for l, m in ((0.005, 64), (0.001, 512)):
             T = torsion_rectangle_series(1.0 / l, l)
-            assert web_lower_integral(profile(rectangle(l)[0], W1, m), 2.0) <= T
+            assert bound_report(profile(rectangle(l)[0], W1, m), 2.0).integral <= T
 
 
 class TestClosedBound:
     def test_square(self, unit_square):
         pr = profile(unit_square, W1, 512)
-        val = web_lower_closed(pr.metrics, W1, pr.mu_f_total, 2.0)
+        val = bound_report(pr, 2.0).closed
         assert val == pytest.approx(WEB_CLOSED_SQUARE, rel=1e-9)
 
     def test_weight_homogeneity(self, unit_square):
@@ -110,32 +107,38 @@ class TestClosedBound:
         prk = profile(unit_square, WeightProfile.constant(kappa), 128)
         for p in P_VALUES:
             q = q_exponent(p)
-            v1 = web_lower_closed(pr1.metrics, pr1.weight, pr1.mu_f_total, p)
-            vk = web_lower_closed(prk.metrics, prk.weight, prk.mu_f_total, p)
+            v1 = bound_report(pr1, p).closed
+            vk = bound_report(prk, p).closed
             assert vk == pytest.approx(kappa**q * v1, rel=1e-12)
 
 
 class TestRefinedBound:
-    def test_constant_weight_general_form_collapses(self, unit_square):
-        # with f' = 0 the weight-decay correction vanishes identically
-        pr = profile(unit_square, WeightProfile.constant(2.5), 256)
-        closed = web_lower_closed(pr.metrics, pr.weight, pr.mu_f_total, 2.0)
-        assert web_lower_refined_general(pr, pr.weight, 2.0) == closed
+    def test_flat_weights_take_the_constant_route(self, small_corpus):
+        # a linear or exp weight of zero slope is constant: its profile and
+        # every bound, the refined one's shrink form included, match f = 2.5
+        flat = (WeightProfile.exponential(2.5, 0.0), WeightProfile.truncated_linear(2.5, 0.0))
+        for poly in small_corpus:
+            ref = profile(poly, WeightProfile.constant(2.5), 128)
+            prs = [profile(poly, w, 128) for w in flat]
+            for p in P_VALUES:
+                for pr in prs:
+                    assert bound_report(pr, p) == bound_report(ref, p)
 
     def test_unit_weight_recovers_integral(self, unit_square):
         # for f = 1 the shrink form equals the web integral in the continuum
         pr = profile(unit_square, W1, 512)
-        refined = web_lower_refined(pr, W1, 2.0)
+        rep = bound_report(pr, 2.0)
+        refined = rep.refined
         assert refined > WEB_CLOSED_SQUARE
         assert refined == pytest.approx(WEB_INTEGRAL_SQUARE, rel=2e-3)
-        assert refined <= web_lower_integral(pr, 2.0)
+        assert refined <= rep.integral
 
     def test_exponential_weight_strictly_refined(self, small_corpus):
         we = WeightProfile.exponential(1.0, 1.0)
         for poly in small_corpus[:5]:
             pr = profile(poly, we, 256)
-            closed = web_lower_closed(pr.metrics, we, pr.mu_f_total, 2.0)
-            assert web_lower_refined(pr, we, 2.0) > closed
+            rep = bound_report(pr, 2.0)
+            assert rep.refined > rep.closed
 
     def test_chain_on_corpus(self, small_corpus):
         for poly in small_corpus[:20]:
@@ -155,17 +158,17 @@ class TestRefinedBound:
 class TestInfWeightBound:
     def test_unit_weight_coincides_with_closed(self, unit_square):
         pr = profile(unit_square, W1, 128)
-        closed = web_lower_closed(pr.metrics, W1, pr.mu_f_total, 2.0)
-        assert inf_weight_lower(pr.metrics, W1, 2.0) == pytest.approx(closed, rel=1e-9)
+        rep = bound_report(pr, 2.0)
+        assert rep.inf_weight == pytest.approx(rep.closed, rel=1e-9)
 
     def test_vanishing_infimum(self, unit_square):
         w = WeightProfile.truncated_linear(1.0, 4.0)  # hits zero at s = 1/4 < R
-        assert inf_weight_lower(metrics(unit_square), w, 2.0) == 0.0
+        assert bound_report(profile(unit_square, w, 128), 2.0).inf_weight == 0.0
 
     def test_exponential_square(self, unit_square):
         w = WeightProfile.exponential(1.0, 1.0)
         # (inf f)^q = e^{-2 R} = e^{-1} at q = 2
-        val = inf_weight_lower(metrics(unit_square), w, 2.0)
+        val = bound_report(profile(unit_square, w, 128), 2.0).inf_weight
         assert val == pytest.approx(math.exp(-1.0) / 48.0, rel=1e-9)
 
 
@@ -198,7 +201,7 @@ class TestFunctionals:
         for poly in small_corpus[:10]:
             pr = profile(poly, W1, 512)
             for p in P_VALUES:
-                F_lower = functional_F(web_lower_integral(pr, p), pr.metrics, p)
+                F_lower = functional_F(bound_report(pr, p).integral, pr.metrics, p)
                 assert F_lower > c_p(p)
                 assert F_lower < makai_upper(p)
 
@@ -216,3 +219,26 @@ def test_report_json_keys(unit_square):
     lo, hi = d["F_p_window"]
     assert lo == pytest.approx(1.0 / 3.0)
     assert hi == pytest.approx(2.0 / 3.0)
+
+
+def test_public_names():
+    # __all__ grows only by a deliberate edit of this list; the bound chain is
+    # reached through bound_report alone
+    assert sorted(webtorsion.__all__) == [
+        "BodyMetrics", "BoundSet", "ConvexPolygon", "DeficitReport", "EnclosingRectangle",
+        "FuzzConfig", "K_of_p", "Mesh", "ParallelProfile", "RichardsonResult",
+        "SteinerReport", "TorsionResult", "WeightProfile", "bound_report", "c_p",
+        "classical_inequality_suite", "cylinder_perimeter", "disk", "enclosing_rectangle",
+        "functional_F", "functional_H_half", "fuzz_suite", "inner_body",
+        "isosceles_triangle", "k_tilde", "makai_upper", "metrics", "polygon_from_vertices",
+        "profile", "q_exponent", "random_convex_body", "rayleigh_check", "rectangle",
+        "richardson_T", "run_sequence", "scale", "sigma_threshold", "slab_upper_bound",
+        "solve_torsion", "stadium", "steiner_check", "support_function", "theorem2_report",
+        "theorem3_report", "torsion_p_ball", "triangulate",
+    ]
+    for name in (
+        "inf_weight_lower", "web_lower_closed", "web_lower_integral",
+        "web_lower_refined", "web_lower_refined_general",
+    ):
+        assert not hasattr(webtorsion, name)
+        assert not hasattr(webtorsion.bounds, name)

@@ -36,6 +36,26 @@ def test_geometry_rejects_bad_shape(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "desc, key",
+    [
+        ({"shape": "rectangle"}, "'l'"),
+        ({"shape": "rectangle", "l": None}, "'l'"),
+        ({"shape": "triangle", "l": [0.1]}, "'l'"),
+        ({"shape": "stadium", "r": 1}, "'a'"),
+        ({"shape": "disk", "k": None}, "'k'"),
+        ({"vertices": {"x": 0}}, "'vertices'"),
+    ],
+    ids=["missing", "null", "list", "stadium-missing", "disk-null", "vertices-object"],
+)
+def test_malformed_descriptor_names_the_key(desc, key, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert cli_dispatch(["geometry", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert cli_dispatch(["geometry", "/nonexistent/shape.json"]) == 1
 
@@ -151,6 +171,14 @@ def test_fuzz_command(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["count"] == 50
     assert rep["violations"] == []
+
+
+def test_fuzz_corpus_size_checked(capsys):
+    assert cli_dispatch(["fuzz", "--n", "-5"]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert cli_dispatch(["fuzz", "--n", "0"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["count"], rep["violations"]) == (0, [])
 
 
 def test_fuzz_deterministic_output(capsys):

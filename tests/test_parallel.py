@@ -228,7 +228,6 @@ class TestSteiner:
         corrupted = ParallelProfile(
             t=pr.t, perimeters=1.01 * pr.perimeters, areas=pr.areas,
             weighted=pr.weighted, metrics=pr.metrics, weight=pr.weight,
-            polygon=pr.polygon,
         )
         with pytest.raises(ViolationFound):
             steiner_check(corrupted)

@@ -10,7 +10,7 @@ from oracles import (
     torsion_rectangle_series,
 )
 import webtorsion.solver as solver_mod
-from webtorsion.bounds import c_p, q_exponent, web_lower_closed
+from webtorsion.bounds import bound_report, c_p, q_exponent
 from webtorsion.errors import BadExponent, NoConvergence, NonMonotoneConvergence, TooFine
 from webtorsion.geometry import metrics, polygon_from_vertices
 from webtorsion.parallel import WeightProfile, inner_body, profile
@@ -249,7 +249,7 @@ class TestWeightedSolves:
                 pr = profile(poly, w, 256)
                 for p in (1.5, 2.0, 3.0):
                     T = solve_torsion(mesh, w, p).torsion
-                    assert T > web_lower_closed(m, w, pr.mu_f_total, p)
+                    assert T > bound_report(pr, p).closed
 
 
 class TestDomainMonotonicity:
@@ -273,7 +273,7 @@ class TestSlabComparison:
         mesh = triangulate(poly, rec.inradius / 8.0)
         T = solve_torsion(mesh, W1, p).torsion
         assert T <= slab_upper_bound(l, p) * (1.0 + 1e-9)
-        assert T > web_lower_closed(metrics(poly), W1, 1.0, p)
+        assert T > bound_report(profile(poly, W1, 64), p).closed
 
 
 class TestRichardson:
