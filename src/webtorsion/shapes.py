@@ -204,6 +204,13 @@ def stadium_of_width(l: float, k: int = 256):
     return stadium(r, a, k)
 
 
+def _integer(value) -> int:
+    """value as an int; a boolean or a number with a fractional part is ill-typed."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _param(desc: dict, key: str, cast=float, default=None):
     """desc[key] converted by cast; BadParameter names a missing or ill-typed key."""
     if key not in desc and default is None:
@@ -232,7 +239,7 @@ def from_descriptor(desc: dict):
     if name == "triangle":
         return isosceles_triangle(_param(desc, "l"))
     if name == "stadium":
-        return stadium(_param(desc, "r"), _param(desc, "a"), _param(desc, "k", int, 256))
+        return stadium(_param(desc, "r"), _param(desc, "a"), _param(desc, "k", _integer, 256))
     if name == "disk":
-        return disk(_param(desc, "R", float, 1.0), _param(desc, "k", int, 256))
+        return disk(_param(desc, "R", float, 1.0), _param(desc, "k", _integer, 256))
     raise BadParameter(f"unknown shape descriptor {desc!r}")

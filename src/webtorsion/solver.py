@@ -6,6 +6,8 @@ is solved directly; otherwise a preconditioned nonlinear conjugate gradient
 iteration with Armijo line search is used, warm-started from the scaled
 linear solution. A mesh builds its gradient operator, stiffness matrix and LU
 once, on first use; every solve on it, for any p and weight, shares them.
+richardson_T keeps the meshes of its last ladder, so successive calls on the
+same polygon share them too.
 """
 from __future__ import annotations
 
@@ -30,6 +32,10 @@ _MAX_ITERS = 100_000
 _MAX_TRIAL_STEPS = 60
 # gradient regularization scale, relative to the body diameter
 _EPS_REG = 1e-10
+
+# richardson_T's last ladder: its polygon and {h: Mesh} for that call's h values
+_ladder_polygon = None
+_ladder_meshes = {}
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,15 @@ class Mesh:
 
     @cached_property
     def _stiffness_lu(self):
-        """K_ff = G^T diag(area, area) G and its sparse LU, one per mesh."""
+        """K_ff = G^T diag(area, area) G and its sparse LU, one per mesh.
+
+        K_ff is symmetric positive definite, so the LU needs no pivoting and
+        a minimum-degree ordering of K + K^T keeps its fill low.
+        """
         G = self._gradient
         K = (G.T @ sp.diags(np.tile(self.triangle_areas, 2)) @ G).tocsc()
-        return K, splu(K)
+        return K, splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
 
     def _angle_range(self):
         v = self.nodes[self.triangles]
@@ -351,17 +362,18 @@ def solve_torsion(
     return TorsionResult(mesh, u, p, weight, J, T, n_iter, float(np.linalg.norm(g)))
 
 
-def rayleigh_check(result: TorsionResult, weight: WeightProfile, p: float) -> float:
+def rayleigh_check(result: TorsionResult) -> float:
     """Rayleigh-type quotient of the discrete solution.
 
     (int f u)^{p/(p-1)} / (int |grad u|^p)^{1/(p-1)}; at the discrete
     optimum this equals the computed torsion up to solver tolerance, and for
     any field it is a valid lower bound for the true torsion. The field is
-    read on the free nodes: it vanishes on the boundary.
+    read on the free nodes: it vanishes on the boundary. The weight and p are
+    the result's own.
     """
-    mesh = result.mesh
+    mesh, p = result.mesh, result.p
     x = result.u[mesh._free]
-    num = float(_load_vector(mesh, weight)[mesh._free] @ x)
+    num = float(_load_vector(mesh, result.weight)[mesh._free] @ x)
     dirichlet = _p_dirichlet(mesh, _slopes(mesh, x)[1], p)
     if dirichlet <= 0.0:
         return 0.0
@@ -380,6 +392,23 @@ class RichardsonResult:
     torsions: tuple
 
 
+def _ladder(polygon: ConvexPolygon, hs) -> list:
+    """The meshes of polygon at hs, reusing those of the last ladder.
+
+    Only one ladder stays alive: the last ladder's meshes that this call does
+    not share (all of them, on another polygon object) are dropped before
+    anything is built.
+    """
+    global _ladder_polygon, _ladder_meshes
+    if polygon is not _ladder_polygon:
+        _ladder_polygon, _ladder_meshes = polygon, {}
+    _ladder_meshes = {h: _ladder_meshes[h] for h in hs if h in _ladder_meshes}
+    for h in hs:
+        if h not in _ladder_meshes:
+            _ladder_meshes[h] = triangulate(polygon, h)
+    return [_ladder_meshes[h] for h in hs]
+
+
 def richardson_T(
     polygon: ConvexPolygon,
     weight: WeightProfile,
@@ -391,6 +420,8 @@ def richardson_T(
 
     Assumes second-order convergence at p = 2 and fits the observed order
     otherwise; the error estimate is the last increment |T_h - T_{h/2}|.
+    Meshes (and their LUs) of the previous call on the same polygon object
+    are reused at every h the two ladders share.
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 3:
@@ -400,8 +431,10 @@ def richardson_T(
             raise ValueError("mesh sizes must decrease")
         if abs(a / b - 2.0) > 0.02:
             raise ValueError("mesh sizes must halve at each step")
-    # each mesh, with its LU, is freed before the next one is built
-    Ts = [solve_torsion(triangulate(polygon, h), weight, p, tol).torsion for h in hs]
+    # finest first: on a new ladder the largest LU is factorized while no
+    # other LU of the ladder is alive, which lowers the peak memory
+    meshes = _ladder(polygon, hs)[::-1]
+    Ts = [solve_torsion(mesh, weight, p, tol).torsion for mesh in meshes][::-1]
     diffs = [b - a for a, b in zip(Ts, Ts[1:])]
     d_prev, d_last = diffs[-2], diffs[-1]
     err = abs(d_last)

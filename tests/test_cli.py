@@ -45,8 +45,12 @@ def test_geometry_rejects_bad_shape(tmp_path, capsys):
         ({"shape": "stadium", "r": 1}, "'a'"),
         ({"shape": "disk", "k": None}, "'k'"),
         ({"vertices": {"x": 0}}, "'vertices'"),
+        ({"shape": "disk", "k": 256.9}, "'k'"),
+        ({"shape": "stadium", "r": 0.5, "a": 1, "k": 256.9}, "'k'"),
+        ({"shape": "disk", "k": True}, "'k'"),
     ],
-    ids=["missing", "null", "list", "stadium-missing", "disk-null", "vertices-object"],
+    ids=["missing", "null", "list", "stadium-missing", "disk-null", "vertices-object",
+         "disk-fractional-k", "stadium-fractional-k", "disk-boolean-k"],
 )
 def test_malformed_descriptor_names_the_key(desc, key, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -106,12 +109,34 @@ class TestDiscretization:
     def test_one_factorization_per_mesh(self, unit_square, monkeypatch):
         calls = []
         real = solver_mod.splu
-        monkeypatch.setattr(solver_mod, "splu", lambda K: calls.append(K.shape) or real(K))
+        monkeypatch.setattr(solver_mod, "splu",
+                            lambda K, **kw: calls.append(K.shape) or real(K, **kw))
         mesh = triangulate(unit_square, 1.0 / 16)
         res = solve_torsion(mesh, W1, 2.0)
         solve_torsion(mesh, WeightProfile.exponential(1.0, 1.0), 3.0)
-        rayleigh_check(res, W1, 2.0)
+        rayleigh_check(res)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "poly, h",
+        [
+            (polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0 / 64),
+            (disk(1.0, 256)[0], 1.0 / 24),
+            (rectangle(0.1)[0], 0.05 / 4),
+        ],
+        ids=["square", "disk", "rectangle"],
+    )
+    def test_lu_solves_stiffness(self, poly, h):
+        # no pivoting: K_ff is symmetric positive definite
+        K, lu = triangulate(poly, h)._stiffness_lu
+        b = np.random.default_rng(0).standard_normal(K.shape[0])
+        assert np.linalg.norm(K @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_symmetric_ordering_fills_less_than_colamd(self, unit_square):
+        from scipy.sparse.linalg import splu
+
+        K, lu = triangulate(unit_square, 1.0 / 96)._stiffness_lu
+        assert lu.nnz < splu(K).nnz
 
 
 class TestSolve:
@@ -183,7 +208,7 @@ class TestRayleigh:
         mesh = triangulate(unit_square, 1.0 / 32)
         for p in (1.5, 2.0, 3.0):
             res = solve_torsion(mesh, W1, p, tol=1e-11)
-            assert rayleigh_check(res, W1, p) == pytest.approx(res.torsion, rel=1e-6)
+            assert rayleigh_check(res) == pytest.approx(res.torsion, rel=1e-6)
 
     def test_scaling_invariance_of_quotient(self, unit_square):
         from dataclasses import replace
@@ -191,8 +216,8 @@ class TestRayleigh:
         mesh = triangulate(unit_square, 1.0 / 32)
         res = solve_torsion(mesh, W1, 2.0)
         doubled = replace(res, u=2.0 * np.array(res.u))
-        assert rayleigh_check(doubled, W1, 2.0) == pytest.approx(
-            rayleigh_check(res, W1, 2.0), rel=1e-12
+        assert rayleigh_check(doubled) == pytest.approx(
+            rayleigh_check(res), rel=1e-12
         )
 
     def test_any_field_is_a_lower_bound(self):
@@ -207,8 +232,8 @@ class TestRayleigh:
         interior = ~mesh.is_boundary
         bumpy[interior] *= 1.0 + 0.05 * np.sin(7.0 * mesh.nodes[interior, 0])
         crude = replace(res, u=bumpy)
-        assert rayleigh_check(crude, W1, 2.0) <= T_DISK_P2 * (1.0 + 1e-9)
-        assert rayleigh_check(crude, W1, 2.0) < res.torsion
+        assert rayleigh_check(crude) <= T_DISK_P2 * (1.0 + 1e-9)
+        assert rayleigh_check(crude) < res.torsion
 
 
 class TestWeightedSolves:
@@ -302,14 +327,86 @@ class TestRichardson:
             richardson_T(unit_square, W1, 2.0, [1 / 16, 1 / 24, 1 / 32])
 
     def test_non_monotone_detected(self, unit_square, monkeypatch):
-        fake = iter([0.035, 0.0351, 0.0349])
+        fake = {1 / 8: 0.035, 1 / 16: 0.0351, 1 / 32: 0.0349}
 
         def fake_solve(mesh, weight, p, tol=1e-10):
             class R:
-                torsion = next(fake)
+                torsion = fake[mesh.h]
 
             return R()
 
         monkeypatch.setattr(solver_mod, "solve_torsion", fake_solve)
         with pytest.raises(NonMonotoneConvergence):
             solver_mod.richardson_T(unit_square, W1, 2.0, [1 / 8, 1 / 16, 1 / 32])
+
+
+def _fresh_square():
+    """A new polygon object, so no earlier ladder is reused."""
+    return polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+class TestLadderReuse:
+    HS = [1 / 8, 1 / 16, 1 / 32]
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The h of every mesh built and the shape of every matrix factorized."""
+        built, factored = [], []
+        tri, lu = solver_mod.triangulate, solver_mod.splu
+        monkeypatch.setattr(solver_mod, "triangulate",
+                            lambda poly, h: built.append(h) or tri(poly, h))
+        monkeypatch.setattr(solver_mod, "splu",
+                            lambda K, **kw: factored.append(K.shape) or lu(K, **kw))
+        return built, factored
+
+    def test_one_mesh_and_lu_per_h_across_p_and_weights(self, monkeypatch):
+        built, factored = self._count_builds(monkeypatch)
+        square = _fresh_square()
+        for w in (W1, WeightProfile.exponential(1.0, 1.0)):
+            for p in (1.5, 2.0, 3.0):
+                richardson_T(square, w, p, self.HS)
+        assert built == self.HS
+        assert len(factored) == 3
+
+    def test_shifted_ladder_builds_one_mesh(self, monkeypatch):
+        square = _fresh_square()
+        richardson_T(square, W1, 2.0, self.HS)
+        built, factored = self._count_builds(monkeypatch)
+        richardson_T(square, W1, 2.0, [1 / 16, 1 / 32, 1 / 64])
+        assert built == [1 / 64]
+        assert len(factored) == 1
+
+    def test_other_polygon_frees_the_ladder(self, monkeypatch):
+        tri = solver_mod.triangulate
+        old, dead_at_build = [], []
+
+        def recorded(poly, h):
+            mesh = tri(poly, h)
+            old.append(weakref.ref(mesh))
+            return mesh
+
+        monkeypatch.setattr(solver_mod, "triangulate", recorded)
+        richardson_T(_fresh_square(), W1, 2.0, self.HS)
+        gc.collect()
+        assert len(old) == 3 and all(r() is not None for r in old)
+
+        def checked(poly, h):
+            gc.collect()
+            dead_at_build.append(all(r() is None for r in old))
+            return tri(poly, h)
+
+        # equal vertices, another object: the old ladder goes before any build
+        monkeypatch.setattr(solver_mod, "triangulate", checked)
+        richardson_T(_fresh_square(), W1, 2.0, self.HS)
+        assert dead_at_build == [True, True, True]
+
+    def test_reused_ladder_is_bit_identical(self):
+        w = WeightProfile.exponential(1.0, 1.0)
+        square = _fresh_square()
+        richardson_T(square, W1, 2.0, self.HS)
+        reused = richardson_T(square, w, 3.0, self.HS)
+        fresh = richardson_T(_fresh_square(), w, 3.0, self.HS)
+        assert reused == fresh
+        assert reused.torsions == tuple(
+            solve_torsion(triangulate(_fresh_square(), h), w, 3.0).torsion for h in self.HS
+        )
