@@ -82,10 +82,6 @@ class ConvexPolygon:
     def edge_offsets(self) -> np.ndarray:
         return self._edges[1]
 
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        return self._edges[2]
-
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance to the boundary, positive inside (exact for convex polygons)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -10,6 +10,7 @@ one depth by clipping, independently of the skeleton.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ class WeightProfile:
     """Continuous, non-increasing, non-negative weight of the boundary distance.
 
     Kinds: "const" f = c, "linear" f(s) = max(c - beta s, 0),
-    "exp" f(s) = c exp(-rate s). Always f(0) = c > 0.
+    "exp" f(s) = c exp(-rate s). Always f(0) = c > 0; c, beta and rate are
+    finite.
     """
 
     kind: str
@@ -46,10 +48,10 @@ class WeightProfile:
     def __post_init__(self):
         if self.kind not in ("const", "linear", "exp"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not (self.c > 0.0):
-            raise ValueError("weight must be positive at distance zero")
-        if self.beta < 0.0 or self.rate < 0.0:
-            raise ValueError("slope and rate must be non-negative")
+        if not (0.0 < self.c < math.inf):
+            raise ValueError("weight must be finite and positive at distance zero")
+        if not (0.0 <= self.beta < math.inf and 0.0 <= self.rate < math.inf):
+            raise ValueError("slope and rate must be finite and non-negative")
 
     @classmethod
     def constant(cls, c: float = 1.0) -> "WeightProfile":

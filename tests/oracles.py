@@ -3,9 +3,10 @@
 Everything here is deliberately written against a different formulation than
 the library (series, quadrature, direction sampling, a linear program for the
 inscribed disk, a half-plane intersection per profile node, element-by-element
-stiffness assembly, a loop over the Steiner difference quotients, bisection
-for the theorem 3 threshold, clipping for the body-rectangle symmetric
-difference) so the two can act as mutual checks.
+stiffness assembly, a loop over the mesh's edge subdivision points, a loop
+over the Steiner difference quotients, bisection for the theorem 3
+threshold, clipping for the body-rectangle symmetric difference) so the two
+can act as mutual checks.
 """
 import math
 from collections import deque
@@ -214,6 +215,20 @@ def stiffness_coo(nodes, triangles):
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
+
+
+def boundary_subdivision_loop(vertices, h: float) -> np.ndarray:
+    """Edge subdivision points of triangulate, one edge and one point at a
+    time: each edge a -> b gets n = max(1, ceil(|b - a| / (0.9 h))) points
+    a + (b - a) j / n, j = 0 .. n - 1."""
+    k = len(vertices)
+    pts = []
+    for i in range(k):
+        a, b = vertices[i], vertices[(i + 1) % k]
+        n_seg = max(1, int(math.ceil(float(np.hypot(*(b - a))) / (0.9 * h))))
+        for j in range(n_seg):
+            pts.append(a + (b - a) * (j / n_seg))
+    return np.asarray(pts)
 
 
 def sigma_bisection() -> float:

@@ -64,10 +64,15 @@ def test_missing_file_is_usage_error(capsys):
     assert cli_dispatch(["geometry", "/nonexistent/shape.json"]) == 1
 
 
-def test_bad_arguments_exit_one(capsys):
+def test_bad_arguments_exit_one(square_file, capsys):
     assert cli_dispatch(["bound"]) == 1
     assert cli_dispatch(["nonsense"]) == 1
     assert cli_dispatch(["bound", "x.json", "--weight", "cubic:2"]) == 1
+    # non-finite weights and tolerances: no NaN result may exit 0
+    for weight in ("linear:nan", "exp:nan", "linear:inf", "exp:inf"):
+        assert cli_dispatch(["bound", square_file, "--weight", weight]) == 1
+    assert cli_dispatch(["solve", square_file, "--h", "0.25", "--weight", "exp:nan"]) == 1
+    assert cli_dispatch(["solve", square_file, "--h", "0.25", "--p", "3", "--tol", "inf"]) == 1
 
 
 def test_exponent_range_checked_before_any_work(square_file, monkeypatch, capsys):

@@ -43,6 +43,17 @@ class TestWeightProfile:
             WeightProfile("linear", c=1.0, beta=-1.0)
         with pytest.raises(ValueError):
             WeightProfile("cubic")
+        # non-finite parameters would turn every bound and torsion into NaN
+        for bad in (
+            dict(kind="const", c=math.inf),
+            dict(kind="const", c=math.nan),
+            dict(kind="linear", beta=math.nan),
+            dict(kind="linear", beta=math.inf),
+            dict(kind="exp", rate=math.nan),
+            dict(kind="exp", rate=math.inf),
+        ):
+            with pytest.raises(ValueError):
+                WeightProfile(**bad)
 
     def test_non_increasing_and_nonnegative(self):
         s = np.linspace(0, 3, 100)

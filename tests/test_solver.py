@@ -1,4 +1,6 @@
 import gc
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ from oracles import (
     T_DISK_P2,
     T_DISK_P3,
     T_UNIT_SQUARE,
+    boundary_subdivision_loop,
     stiffness_coo,
     torsion_rectangle_series,
 )
@@ -32,7 +35,7 @@ class TestTriangulate:
     def test_square_coarse(self, unit_square):
         mesh = triangulate(unit_square, 0.5 * 0.99)
         assert len(mesh.triangles) >= 8
-        bnd = mesh.nodes[mesh.is_boundary]
+        bnd = mesh.nodes[: mesh.n_boundary]
         assert np.all(np.abs(unit_square.signed_distance(bnd)) < 1e-12)
 
     def test_node_count_scales_like_h_squared(self, unit_square):
@@ -43,11 +46,16 @@ class TestTriangulate:
         assert 3.0 < n3 / n2 < 5.2
 
     def test_positive_orientation_and_tiling(self, small_corpus):
-        for poly in small_corpus[:8]:
+        for poly in small_corpus[:8] + [disk(1.0, 256)[0], rectangle(0.1)[0]]:
             m = metrics(poly)
             mesh = triangulate(poly, m.inradius / 4.0)
             assert np.all(mesh.triangle_areas > 0)
             assert float(np.sum(mesh.triangle_areas)) == pytest.approx(m.area, rel=1e-12)
+            # boundary nodes first; smoothing keeps the free nodes >= 0.32 h inside
+            nb = mesh.n_boundary
+            assert np.array_equal(mesh.nodes[:nb], boundary_subdivision_loop(poly.vertices, mesh.h))
+            assert np.all(np.abs(poly.signed_distance(mesh.nodes[:nb])) <= 1e-12)
+            assert np.all(poly.signed_distance(mesh.nodes[nb:]) >= 0.3 * mesh.h)
 
     def test_canonical_shape_quality(self, unit_square):
         # right-angled corners and no sub-h boundary edges: the 15 degree
@@ -93,6 +101,25 @@ class TestTriangulate:
         with pytest.raises(TooFine):
             triangulate(unit_square, 1.0 / 32)
 
+    def test_budget_counts_lattice_rows_within_the_polygon(self, monkeypatch):
+        # a thin rectangle on the diagonal fills under 4% of its bounding box,
+        # whose lattice alone (about 150k points) would exceed the budget
+        poly = polygon_from_vertices([(0.01, -0.01), (1.01, 0.99), (0.99, 1.01), (-0.01, 0.01)])
+        monkeypatch.setattr(solver_mod, "_MAX_NODES", 20_000)
+        mesh = triangulate(poly, metrics(poly).inradius / 4.0)
+        assert 2_000 < mesh.node_count < 20_000
+
+    def test_budget_checked_before_allocating(self, unit_square):
+        # about 11M candidate points: rejected before the lattice is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooFine):
+                triangulate(unit_square, 4e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
 
 class TestDiscretization:
     def test_stiffness_matches_element_assembly(self, small_corpus):
@@ -101,8 +128,8 @@ class TestDiscretization:
             triangulate(poly, metrics(poly).inradius / 6.0),
             triangulate(disk(1.0, 256)[0], 1.0 / 12),
         ):
-            free = ~mesh.is_boundary
-            ref = stiffness_coo(mesh.nodes, mesh.triangles)[free][:, free]
+            nb = mesh.n_boundary
+            ref = stiffness_coo(mesh.nodes, mesh.triangles)[nb:, nb:]
             K, _ = mesh._stiffness_lu
             assert abs(K - ref).max() <= 1e-13 * abs(ref).max()
 
@@ -144,8 +171,8 @@ class TestSolve:
         mesh = triangulate(unit_square, 1.0 / 64)
         res = solve_torsion(mesh, W1, 2.0)
         assert res.torsion == pytest.approx(T_UNIT_SQUARE, rel=0.01)
-        assert res.min_interior >= -1e-12
-        assert np.all(res.u[mesh.is_boundary] == 0.0)
+        assert res.u.min() >= -1e-12
+        assert np.all(res.u[: mesh.n_boundary] == 0.0)
 
     def test_disk_p2(self):
         poly, _ = disk(1.0, 256)
@@ -177,7 +204,7 @@ class TestSolve:
             mesh = triangulate(poly, metrics(poly).inradius / 5.0)
             for p in (1.5, 3.0):
                 res = solve_torsion(mesh, W1, p)
-                assert res.min_interior >= -1e-12
+                assert res.u.min() >= -1e-12
 
     def test_failed_line_search_raises(self, unit_square, monkeypatch):
         # one trial step per search: the step doubles each iteration until it
@@ -199,8 +226,9 @@ class TestSolve:
             solve_torsion(mesh, W1, 1.05)
         with pytest.raises(BadExponent):
             solve_torsion(mesh, W1, 11.0)
-        with pytest.raises(ValueError):
-            solve_torsion(mesh, W1, 2.0, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                solve_torsion(mesh, W1, 2.0, tol=tol)
 
 
 class TestRayleigh:
@@ -229,7 +257,7 @@ class TestRayleigh:
         mesh = triangulate(poly, 1.0 / 24)
         res = solve_torsion(mesh, W1, 2.0)
         bumpy = np.array(res.u)
-        interior = ~mesh.is_boundary
+        interior = slice(mesh.n_boundary, None)
         bumpy[interior] *= 1.0 + 0.05 * np.sin(7.0 * mesh.nodes[interior, 0])
         crude = replace(res, u=bumpy)
         assert rayleigh_check(crude) <= T_DISK_P2 * (1.0 + 1e-9)
