@@ -21,7 +21,6 @@ from .geometry import (
     metrics,
     polygon_from_vertices,
     scale,
-    support_function,
 )
 from .harness import (
     FuzzConfig,
@@ -111,7 +110,6 @@ __all__ = [
     "solve_torsion",
     "stadium",
     "steiner_check",
-    "support_function",
     "theorem2_report",
     "theorem3_report",
     "torsion_p_ball",

@@ -13,10 +13,6 @@ class Degenerate(WebTorsionError):
     """Polygon area below threshold, or too few usable vertices."""
 
 
-class ZeroDirection(WebTorsionError):
-    """A direction vector with (near) zero length was supplied."""
-
-
 class NonPositiveScale(WebTorsionError):
     """Scaling factor must be strictly positive."""
 

@@ -1,4 +1,4 @@
-"""Convex polygon kernel: construction, classical metrics, support function.
+"""Convex polygon kernel: construction and classical metrics.
 
 Polygons model bounded, open, convex planar bodies. They are stored as
 counter-clockwise vertex arrays with strictly convex corners; collinear and
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, NonConvex, NonPositiveScale, ZeroDirection
+from .errors import Degenerate, NonConvex, NonPositiveScale
 
 # Normalized cross products below this are treated as collinear.
 MERGE_EPS = 1e-12
@@ -177,16 +177,6 @@ def polygon_from_vertices(points) -> ConvexPolygon:
     if poly._area < MIN_AREA:
         raise Degenerate(f"area {poly._area:.3e} below {MIN_AREA:.0e}")
     return poly
-
-
-def support_function(polygon: ConvexPolygon, y) -> float:
-    """max over the body of x . y (the support value in direction y)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (2,):
-        raise ZeroDirection("direction must be a planar vector")
-    if math.hypot(y[0], y[1]) < MIN_VERTEX_SEP:
-        raise ZeroDirection("zero direction")
-    return float(np.max(polygon.vertices @ y))
 
 
 def scale(polygon: ConvexPolygon, t: float) -> ConvexPolygon:

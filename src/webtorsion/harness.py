@@ -128,11 +128,6 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def corpus(config: FuzzConfig):
-    """All bodies of the corpus, in index order."""
-    return [random_convex_body(config, i) for i in range(config.count)]
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     """Slacks of every classical inequality for one body (non-negative = pass)."""
@@ -220,6 +215,7 @@ SEQUENCE_COLUMNS = [
 ]
 
 DEFAULT_L_GRID = (0.4, 0.2, 0.1, 0.05)
+SEQUENCE_MESH_DIVISOR = 10
 
 
 def run_sequence(
@@ -227,13 +223,12 @@ def run_sequence(
     l_grid=DEFAULT_L_GRID,
     p: float = 2.0,
     grid: int = DEFAULT_GRID,
-    mesh_divisor: int = 10,
 ) -> list[dict]:
     """Metrics, bounds, solver torsion and verdicts along a thinning family.
 
     kind is one of rectangle, triangle, stadium; l is the width of the
     unit-area member. The solver runs a 3-level ratio-2 refinement ladder
-    with finest size inradius / mesh_divisor.
+    with finest size inradius / SEQUENCE_MESH_DIVISOR.
     """
     makers = {
         "rectangle": lambda l: rectangle(l),
@@ -249,7 +244,7 @@ def run_sequence(
         body = metrics(poly)
         prof = profile(poly, weight, grid)
         bounds = bound_report(prof, p)
-        h_fine = body.inradius / mesh_divisor
+        h_fine = body.inradius / SEQUENCE_MESH_DIVISOR
         rich = richardson_T(poly, weight, p, [4.0 * h_fine, 2.0 * h_fine, h_fine])
         T = rich.torsion
         rep = theorem3_report(poly, T, body) if p == 2.0 else theorem2_report(body, T, p)

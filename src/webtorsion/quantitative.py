@@ -209,10 +209,10 @@ def theorem2_report(body: BodyMetrics, T: float, p: float) -> DeficitReport:
 def theorem3_report(polygon: ConvexPolygon, T: float, body: BodyMetrics | None = None) -> DeficitReport:
     """Full p = 2 deficit report with the cubic stability verdicts.
 
-    Large-deficit bodies (deficit >= sigma) are checked against (sigma/8) D^3,
-    which covers them because D <= 2; small-deficit bodies are checked against
-    k_tilde D^3 and the intermediate inradius-deficit inequality
-    deficit >= (1/6) (P R / area - 1)^3.
+    Every body is checked against k_tilde D^3. On the large-deficit branch
+    (deficit >= sigma) that is (sigma/8) D^3, since k_tilde = sigma/8, and it
+    holds because D <= 2; small-deficit bodies are also checked against the
+    intermediate inradius-deficit inequality deficit >= (1/6) (P R / area - 1)^3.
     """
     if body is None:
         body = metrics(polygon)
@@ -221,15 +221,13 @@ def theorem3_report(polygon: ConvexPolygon, T: float, body: BodyMetrics | None =
     D = rect.symdiff_ratio
     sigma = sigma_threshold()
     kt = k_tilde()
+    rhs3 = kt * D**3
+    ok3 = bool(base.deficit >= rhs3)
     if base.deficit >= sigma:
         branch = "large-deficit"
-        rhs3 = sigma / 8.0 * D**3
-        ok3 = bool(base.deficit >= rhs3)
         rhs_r, ok_r = None, None
     else:
         branch = "small-deficit"
-        rhs3 = kt * D**3
-        ok3 = bool(base.deficit >= rhs3)
         rhs_r = QUANT_R_CONST * base.inradius_deficit**3
         ok_r = bool(base.deficit >= rhs_r)
     return replace(

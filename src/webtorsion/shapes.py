@@ -69,9 +69,6 @@ class RectangleRecord:
     width: float
     diameter: float
 
-    def slab_upper(self, p: float) -> float:
-        return slab_upper_bound(self.l, p)
-
 
 def rectangle(l: float):
     """Thinning rectangle of unit area, width l; returns (polygon, record)."""

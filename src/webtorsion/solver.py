@@ -106,35 +106,6 @@ class Mesh:
         return K, splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
 
-    def _angle_range(self):
-        v = self.nodes[self.triangles]
-        lo, hi = math.inf, 0.0
-        for i in range(3):
-            a = v[:, (i + 1) % 3] - v[:, i]
-            b = v[:, (i + 2) % 3] - v[:, i]
-            cosang = np.einsum("ij,ij->i", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            )
-            ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-            lo = min(lo, float(ang.min()))
-            hi = max(hi, float(ang.max()))
-        return lo, hi
-
-    def min_angle_degrees(self) -> float:
-        return self._angle_range()[0]
-
-    def max_angle_degrees(self) -> float:
-        """P1 interpolation quality rests on this staying away from 180."""
-        return self._angle_range()[1]
-
-    def max_edge(self) -> float:
-        v = self.nodes[self.triangles]
-        best = 0.0
-        for i in range(3):
-            e = v[:, (i + 1) % 3] - v[:, i]
-            best = max(best, float(np.linalg.norm(e, axis=1).max()))
-        return best
-
 
 def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
     """Delaunay mesh with target edge length h, boundary nodes first.
@@ -255,9 +226,7 @@ def _load_vector(mesh: Mesh, weight: WeightProfile) -> np.ndarray:
     """Loads on the free nodes: f at each centroid, a third of the triangle's
     share to each of its nodes."""
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
-    fvals = np.asarray(weight(mesh.polygon.signed_distance(cent)))
-    fvals = np.maximum(fvals, 0.0)
-    contrib = mesh.triangle_areas * fvals / 3.0
+    contrib = mesh.triangle_areas * weight(mesh.polygon.signed_distance(cent)) / 3.0
     F = np.zeros(mesh.node_count)
     for i in range(3):
         np.add.at(F, mesh.triangles[:, i], contrib)

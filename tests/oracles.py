@@ -6,7 +6,8 @@ inscribed disk, a half-plane intersection per profile node, element-by-element
 stiffness assembly, a loop over the mesh's edge subdivision points, a loop
 over the Steiner difference quotients, bisection for the theorem 3
 threshold, clipping for the body-rectangle symmetric difference) so the two
-can act as mutual checks.
+can act as mutual checks. The mesh-quality probes (angle range, longest
+edge) measure meshes that the library builds but never inspects.
 """
 import math
 from collections import deque
@@ -229,6 +230,28 @@ def boundary_subdivision_loop(vertices, h: float) -> np.ndarray:
         for j in range(n_seg):
             pts.append(a + (b - a) * (j / n_seg))
     return np.asarray(pts)
+
+
+def angle_range_degrees(nodes, triangles):
+    """Smallest and largest interior angle, in degrees, over all triangles."""
+    v = nodes[triangles]
+    lo, hi = math.inf, 0.0
+    for i in range(3):
+        a = v[:, (i + 1) % 3] - v[:, i]
+        b = v[:, (i + 2) % 3] - v[:, i]
+        cosang = np.einsum("ij,ij->i", a, b) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        )
+        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        lo = min(lo, float(ang.min()))
+        hi = max(hi, float(ang.max()))
+    return lo, hi
+
+
+def max_edge_length(nodes, triangles) -> float:
+    """Longest triangle edge."""
+    v = nodes[triangles]
+    return max(float(np.linalg.norm(v[:, (i + 1) % 3] - v[:, i], axis=1).max()) for i in range(3))
 
 
 def sigma_bisection() -> float:

@@ -233,9 +233,16 @@ def test_public_names():
         "isosceles_triangle", "k_tilde", "makai_upper", "metrics", "polygon_from_vertices",
         "profile", "q_exponent", "random_convex_body", "rayleigh_check", "rectangle",
         "richardson_T", "run_sequence", "scale", "sigma_threshold", "slab_upper_bound",
-        "solve_torsion", "stadium", "steiner_check", "support_function", "theorem2_report",
-        "theorem3_report", "torsion_p_ball", "triangulate",
+        "solve_torsion", "stadium", "steiner_check", "theorem2_report", "theorem3_report",
+        "torsion_p_ball", "triangulate",
     ]
+    # members that only tests read stay out of the package
+    assert not hasattr(webtorsion, "support_function")
+    assert not hasattr(webtorsion.geometry, "support_function")
+    assert not hasattr(webtorsion.errors, "ZeroDirection")
+    assert not hasattr(webtorsion.harness, "corpus")
+    assert not hasattr(webtorsion.Mesh, "min_angle_degrees")
+    assert not hasattr(webtorsion.Mesh, "max_edge")
     for name in (
         "inf_weight_lower", "web_lower_closed", "web_lower_integral",
         "web_lower_refined", "web_lower_refined_general",

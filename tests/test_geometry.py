@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import webtorsion
 from oracles import chebyshev_center_lp, diameter_bruteforce, width_sampled
-from webtorsion.errors import Degenerate, NonConvex, NonPositiveScale, ZeroDirection
+from webtorsion.errors import Degenerate, NonConvex, NonPositiveScale
 from webtorsion.geometry import (
     ConvexPolygon,
     metrics,
     polygon_from_vertices,
     scale,
-    support_function,
 )
 from webtorsion.harness import FuzzConfig, random_convex_body
 from webtorsion.shapes import disk, isosceles_triangle, rectangle, stadium
@@ -84,23 +83,6 @@ def test_thin_rectangle_metrics():
     assert m.width == pytest.approx(0.1, rel=1e-12)
     assert m.diameter == pytest.approx(math.sqrt(100.01), rel=1e-13)
     assert m.inradius == pytest.approx(0.05, rel=1e-9)
-
-
-def test_support_function(unit_square):
-    assert support_function(unit_square, (1.0, 0.0)) == pytest.approx(1.0)
-    assert support_function(unit_square, (-1.0, 0.0)) == pytest.approx(0.0)
-    # width in direction (1, 0) is h(y) + h(-y)
-    w = support_function(unit_square, (1.0, 0.0)) + support_function(unit_square, (-1.0, 0.0))
-    assert w == pytest.approx(1.0)
-    with pytest.raises(ZeroDirection):
-        support_function(unit_square, (0.0, 0.0))
-
-
-def test_support_function_hexagon_vertex():
-    k = 6
-    th = np.linspace(0, 2 * np.pi, k, endpoint=False)
-    hexa = polygon_from_vertices(np.column_stack((np.cos(th), np.sin(th))))
-    assert support_function(hexa, (1.0, 0.0)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_scale(unit_square):

@@ -116,8 +116,9 @@ class TestSuite:
 
 
 class TestSequences:
-    def test_rectangle_sequence(self):
-        rows = run_sequence("rectangle", (0.4, 0.2, 0.1), 2.0, grid=128, mesh_divisor=8)
+    def test_rectangle_sequence(self, monkeypatch):
+        monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 8)
+        rows = run_sequence("rectangle", (0.4, 0.2, 0.1), 2.0, grid=128)
         assert len(rows) == 3
         F = [r["F_p"] for r in rows]
         assert all(f > 1.0 / 3.0 for f in F)
@@ -126,13 +127,15 @@ class TestSequences:
         assert all(r["T"] <= r["slab_upper"] for r in rows)
         assert all(r["theorem3_ok"] for r in rows)
 
-    def test_triangle_sequence_deficit_floor(self):
-        rows = run_sequence("triangle", (0.4, 0.2), 2.0, grid=128, mesh_divisor=8)
+    def test_triangle_sequence_deficit_floor(self, monkeypatch):
+        monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 8)
+        rows = run_sequence("triangle", (0.4, 0.2), 2.0, grid=128)
         for r in rows:
             assert r["deficit"] >= 1.0 / 6.0
 
-    def test_rectangle_p3_tends_to_sharp_constant(self):
-        rows = run_sequence("rectangle", (0.2, 0.1), 3.0, grid=128, mesh_divisor=8)
+    def test_rectangle_p3_tends_to_sharp_constant(self, monkeypatch):
+        monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 8)
+        rows = run_sequence("rectangle", (0.2, 0.1), 3.0, grid=128)
         F = [r["F_p"] for r in rows]
         c3 = 2.0 / 5.0
         assert F[1] < F[0]
@@ -143,18 +146,20 @@ class TestSequences:
         with pytest.raises(ValueError):
             run_sequence("pentagon", (0.2,), 2.0)
 
-    def test_csv_deterministic(self):
-        rows = run_sequence("rectangle", (0.4,), 2.0, grid=128, mesh_divisor=6)
+    def test_csv_deterministic(self, monkeypatch):
+        monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
+        rows = run_sequence("rectangle", (0.4,), 2.0, grid=128)
         buf1, buf2 = io.StringIO(), io.StringIO()
         write_sequence_csv(rows, buf1)
-        rows2 = run_sequence("rectangle", (0.4,), 2.0, grid=128, mesh_divisor=6)
+        rows2 = run_sequence("rectangle", (0.4,), 2.0, grid=128)
         write_sequence_csv(rows2, buf2)
         assert buf1.getvalue() == buf2.getvalue()
         header = buf1.getvalue().splitlines()[0]
         assert header.startswith("kind,l,p,area,perimeter")
 
-    def test_svg_is_static(self):
-        rows = run_sequence("rectangle", (0.4, 0.2), 2.0, grid=128, mesh_divisor=6)
+    def test_svg_is_static(self, monkeypatch):
+        monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
+        rows = run_sequence("rectangle", (0.4, 0.2), 2.0, grid=128)
         buf = io.StringIO()
         write_sequence_svg(rows, buf)
         svg = buf.getvalue()

@@ -154,6 +154,7 @@ class TestTheorem3:
         assert rep.theorem3_ok
         assert rep.quantitative_R_ok is None
         assert rep.theorem3_rhs == pytest.approx(sigma_threshold() / 8.0, rel=1e-9)
+        assert rep.theorem3_rhs == k_tilde() * rep.symdiff_ratio**3
         assert rep.all_ok
 
     def test_thin_rectangle_small_branch(self):
@@ -168,6 +169,7 @@ class TestTheorem3:
         # intermediate inradius-deficit inequality: deficit >= (1/6) l^6
         assert rep.quantitative_R_rhs == pytest.approx(l**6 / 6.0, rel=1e-5)
         assert rep.quantitative_R_ok
+        assert rep.theorem3_rhs == k_tilde() * rep.symdiff_ratio**3
         assert rep.theorem3_ok
         assert rep.all_ok
 

@@ -11,7 +11,9 @@ from oracles import (
     T_DISK_P2,
     T_DISK_P3,
     T_UNIT_SQUARE,
+    angle_range_degrees,
     boundary_subdivision_loop,
+    max_edge_length,
     stiffness_coo,
     torsion_rectangle_series,
 )
@@ -65,22 +67,22 @@ class TestTriangulate:
             triangulate(rectangle(0.2)[0], 0.1 / 8),
             triangulate(disk(1.0, 256)[0], 1.0 / 24),
         ):
-            assert mesh.min_angle_degrees() >= 15.0
-            assert mesh.max_edge() <= 1.35 * mesh.h
+            assert angle_range_degrees(mesh.nodes, mesh.triangles)[0] >= 15.0
+            assert max_edge_length(mesh.nodes, mesh.triangles) <= 1.35 * mesh.h
 
     def test_fuzz_mesh_quality(self, small_corpus):
         # bodies with needle corners force matching small angles; what P1
         # accuracy needs is the upper angle bound
         for poly in small_corpus[:10]:
             mesh = triangulate(poly, metrics(poly).inradius / 6.0)
-            assert mesh.max_angle_degrees() <= 150.0
-            assert mesh.max_edge() <= 1.7 * mesh.h
+            assert angle_range_degrees(mesh.nodes, mesh.triangles)[1] <= 150.0
+            assert max_edge_length(mesh.nodes, mesh.triangles) <= 1.7 * mesh.h
 
     def test_thin_rectangle(self):
         poly = polygon_from_vertices([(-5, -0.05), (5, -0.05), (5, 0.05), (-5, 0.05)])
         mesh = triangulate(poly, 0.02)
         assert mesh.node_count < 120_000
-        assert mesh.min_angle_degrees() >= 15.0
+        assert angle_range_degrees(mesh.nodes, mesh.triangles)[0] >= 15.0
 
     def test_h_out_of_range(self, unit_square):
         with pytest.raises(ValueError):
