@@ -6,12 +6,18 @@ n_boundary boundary nodes first, so the free (interior) nodes are the slice
 nodes[n_boundary:] and every field is solved for on that slice. At p = 2 the
 linear system is solved directly; otherwise a preconditioned nonlinear
 conjugate gradient iteration with Armijo line search is used, warm-started
-from the scaled linear solution. One kernel, _dirichlet, gives the slopes
-and sum area |grad u|^p for the iteration, its warm start and
-rayleigh_check. A mesh builds its gradient operator, stiffness matrix and LU
-once, on first use; every solve on it, for any p and weight, shares them.
-richardson_T keeps the meshes of its last ladder, so successive calls on the
-same polygon share them too.
+from the scaled linear solution. The iteration carries the slopes G x and
+the load term F . x of its iterate: with G d and F . d formed once per search
+direction, an Armijo trial at step a has slopes G x + a G d and load term
+F . x + a F . d, and the accepted trial's slopes and energy become the new
+iterate's. So an iteration makes one product G d, one product G^T (w G x)
+for the gradient and one LU solve. One kernel, _dirichlet, turns slopes into
+|grad u|^2 per triangle and sum area |grad u|^p for the iteration, its warm
+start and rayleigh_check. A mesh builds its gradient operator, stiffness
+matrix and LU once, on first use, and the transpose of the gradient operator
+on its first nonlinear solve; every solve on it, for any p and weight,
+shares them. richardson_T keeps the meshes of its last ladder, so successive
+calls on the same polygon share them too.
 """
 from __future__ import annotations
 
@@ -93,6 +99,12 @@ class Mesh:
              (np.concatenate([rows, rows + m]), np.tile(cols[keep], 2))),
             shape=(2 * m, self.node_count - self.n_boundary),
         )
+
+    @cached_property
+    def _gradient_T(self) -> sp.csr_matrix:
+        """G^T in CSR form for the gradient of the nonlinear iteration; p = 2
+        solves never build it."""
+        return self._gradient.T.tocsr()
 
     @cached_property
     def _stiffness_lu(self):
@@ -233,33 +245,34 @@ def _load_vector(mesh: Mesh, weight: WeightProfile) -> np.ndarray:
     return F[mesh.n_boundary:]
 
 
-def _dirichlet(mesh: Mesh, x: np.ndarray, p: float, eps2: float = 0.0):
-    """G x, s = |grad|^2 + eps2 per triangle, and sum of area * s^(p/2), for
-    the field that is x on the free nodes and 0 on the boundary."""
-    g = mesh._gradient @ x
+def _dirichlet(mesh: Mesh, g: np.ndarray, p: float, eps2: float = 0.0):
+    """From slopes g = G x: s = |grad|^2 + eps2 and e = area * s^(p/2) per
+    triangle, and sum e, for the field that is x on the free nodes and 0 on
+    the boundary."""
     m = len(mesh.triangles)
     s = g[:m] ** 2 + g[m:] ** 2 + eps2
-    return g, s, float(np.sum(mesh.triangle_areas * s ** (p / 2.0)))
+    e = mesh.triangle_areas * s ** (p / 2.0)
+    return s, e, float(np.sum(e))
 
 
 def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     """Preconditioned nonlinear CG from the linear solution x: returns the
     minimizer on the free nodes, its energy, gradient and iteration count."""
-    G, area = mesh._gradient, mesh.triangle_areas
+    G, GT = mesh._gradient, mesh._gradient_T
     lu = mesh._stiffness_lu[1]
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
 
-    def energy_grad(x):
-        g, s, a = _dirichlet(mesh, x, p, eps2)
-        w = np.tile(area * s ** ((p - 2.0) / 2.0), 2)
-        return G.T @ (w * g) - F, a / p - float(F @ x)
-
     # warm start: scale the linear solution to its own optimal amplitude
-    a_p = _dirichlet(mesh, x, p)[2]
+    a_p = _dirichlet(mesh, G @ x, p)[2]
     b_lin = float(F @ x)
     x = x * (b_lin / a_p) ** (1.0 / (p - 1.0)) if a_p > 0 else x
 
-    g, J = energy_grad(x)
+    # the iterate x with its slopes Gx = G x, load term Fx = F . x, s, e and J
+    Gx, Fx = G @ x, float(F @ x)
+    s, e, a = _dirichlet(mesh, Gx, p, eps2)
+    J = a / p - Fx
+    # energy gradient G^T (w G x) - F, w = area s^(p/2) / s with s >= eps2 > 0
+    g = GT @ ((e / s) * Gx.reshape(2, -1)).ravel() - F
     z = lu.solve(g)
     d = -z
     gz = float(g @ z)
@@ -270,23 +283,26 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
         if gd >= 0.0:
             d = -z
             gd = -gz
+        Gd, Fd = G @ d, float(F @ d)
         step = max(step * 2.0, 1e-12)
         for _ in range(_MAX_TRIAL_STEPS):
-            trial = x + step * d
-            if _dirichlet(mesh, trial, p, eps2)[2] / p - float(F @ trial) <= J + 1e-4 * step * gd:
+            Gt, Ft = Gx + step * Gd, Fx + step * Fd
+            s, e, a = _dirichlet(mesh, Gt, p, eps2)
+            Jt = a / p - Ft
+            if Jt <= J + 1e-4 * step * gd:
                 break
             step *= 0.5
         else:
             raise NoConvergence(
                 f"line search found no decrease in {_MAX_TRIAL_STEPS} steps at iteration {n_iter}"
             )
-        x = x + step * d
-        g_new, J_new = energy_grad(x)
+        x, Gx, Fx, J = x + step * d, Gt, Ft, Jt
+        g_new = GT @ ((e / s) * Gx.reshape(2, -1)).ravel() - F
         z_new = lu.solve(g_new)
         gz_new = float(g_new @ z_new)
         beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
         d = -z_new + beta * d
-        g, z, gz, J = g_new, z_new, gz_new, J_new
+        g, z, gz = g_new, z_new, gz_new
         history.append(J)
         if len(history) > 10 and history[-11] - history[-1] < tol * abs(history[-1]):
             return x, J, g, n_iter
@@ -340,7 +356,7 @@ def rayleigh_check(result: TorsionResult) -> float:
     mesh, p = result.mesh, result.p
     x = result.u[mesh.n_boundary:]
     num = float(_load_vector(mesh, result.weight) @ x)
-    dirichlet = _dirichlet(mesh, x, p)[2]
+    dirichlet = _dirichlet(mesh, mesh._gradient @ x, p)[2]
     if dirichlet <= 0.0:
         return 0.0
     q = p / (p - 1.0)

@@ -192,14 +192,46 @@ class TestSolve:
         assert res.torsion == pytest.approx(T_DISK_P15, rel=0.01)
 
     def test_energy_identity(self, small_corpus):
-        # T = -p/(p-1) J at the discrete optimum
+        # T = -p/(p-1) J at the discrete optimum, for any weight
+        weighted = (WeightProfile.truncated_linear(1.0, 1.0),
+                    WeightProfile.exponential(1.0, 1.0))
+        cases = [(W1, p) for p in (1.5, 2.0, 3.0)]
+        cases += [(w, p) for w in weighted for p in (1.5, 3.0)]
         for poly in small_corpus[:4]:
             mesh = triangulate(poly, metrics(poly).inradius / 6.0)
-            for p in (1.5, 2.0, 3.0):
-                res = solve_torsion(mesh, W1, p, tol=1e-11)
+            for w, p in cases:
+                res = solve_torsion(mesh, w, p, tol=1e-11)
                 assert res.torsion == pytest.approx(
                     -p / (p - 1.0) * res.energy, rel=1e-6
                 )
+
+    def test_carried_state_matches_the_returned_field(self, small_corpus):
+        # the iteration carries G x, F . x and the energy through its line
+        # searches; recomputed from the returned field they must agree
+        weights = (W1, WeightProfile.truncated_linear(1.0, 1.0),
+                   WeightProfile.exponential(1.0, 1.0))
+        for poly in small_corpus[:4]:
+            mesh = triangulate(poly, metrics(poly).inradius / 6.0)
+            G, area, m = mesh._gradient, mesh.triangle_areas, len(mesh.triangles)
+            eps2 = (solver_mod._EPS_REG * metrics(poly).diameter) ** 2
+            solve_torsion(mesh, W1, 2.0)
+            assert "_gradient_T" not in mesh.__dict__  # built by p != 2 solves only
+            transposes = []
+            for w in weights:
+                F = solver_mod._load_vector(mesh, w)
+                for p in (1.5, 3.0, 10.0):
+                    res = solve_torsion(mesh, w, p)
+                    x = res.u[mesh.n_boundary:]
+                    g = G @ x
+                    s = g[:m] ** 2 + g[m:] ** 2 + eps2
+                    J = float(np.sum(area * s ** (p / 2.0))) / p - float(F @ x)
+                    assert res.energy == pytest.approx(J, rel=1e-12)
+                    grad = G.T @ (np.tile(area * s ** ((p - 2.0) / 2.0), 2) * g) - F
+                    assert abs(res.grad_norm - np.linalg.norm(grad)) <= 1e-10 * np.linalg.norm(F)
+                    transposes.append(mesh._gradient_T)
+            GT = transposes[0]
+            assert GT.format == "csr" and (GT != G.T).nnz == 0
+            assert all(t is GT for t in transposes)
 
     def test_maximum_principle(self, small_corpus):
         for poly in small_corpus[:6]:
