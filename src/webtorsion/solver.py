@@ -11,12 +11,15 @@ the load term F . x of its iterate: with G d and F . d formed once per search
 direction, an Armijo trial at step a has slopes G x + a G d and load term
 F . x + a F . d, and the accepted trial's slopes and energy become the new
 iterate's. So an iteration makes one product G d, one product G^T (w G x)
-for the gradient and one LU solve. One kernel, _dirichlet, turns slopes into
-|grad u|^2 per triangle and sum area |grad u|^p for the iteration, its warm
-start and rayleigh_check. A mesh builds its gradient operator, stiffness
-matrix and LU once, on first use, and the transpose of the gradient operator
-on its first nonlinear solve; every solve on it, for any p and weight,
-shares them. richardson_T keeps the meshes of its last ladder, so successive
+for the gradient and one LU solve. When the energy stop fires, G x and
+F . x are recomputed from the iterate and the stop must hold for the
+recomputed energy too, so a result's energy and gradient are those of its
+field. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
+and sum area |grad u|^p for the iteration, its warm start and
+rayleigh_check. A mesh builds its gradient operator, stiffness matrix and
+LU once, on first use, and the transpose of the gradient operator on its
+first nonlinear solve; every solve on it, for any p and weight, shares
+them. richardson_T keeps the meshes of its last ladder, so successive
 calls on the same polygon share them too.
 """
 from __future__ import annotations
@@ -262,6 +265,15 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     lu = mesh._stiffness_lu[1]
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
 
+    def energy(Gx, Fx):
+        """s, e and J of the field with slopes Gx and load term Fx."""
+        s, e, a = _dirichlet(mesh, Gx, p, eps2)
+        return s, e, a / p - Fx
+
+    def gradient(Gx, s, e):
+        """G^T (w G x) - F with w = area s^(p/2) / s; s >= eps2 > 0."""
+        return GT @ ((e / s) * Gx.reshape(2, -1)).ravel() - F
+
     # warm start: scale the linear solution to its own optimal amplitude
     a_p = _dirichlet(mesh, G @ x, p)[2]
     b_lin = float(F @ x)
@@ -269,10 +281,8 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
 
     # the iterate x with its slopes Gx = G x, load term Fx = F . x, s, e and J
     Gx, Fx = G @ x, float(F @ x)
-    s, e, a = _dirichlet(mesh, Gx, p, eps2)
-    J = a / p - Fx
-    # energy gradient G^T (w G x) - F, w = area s^(p/2) / s with s >= eps2 > 0
-    g = GT @ ((e / s) * Gx.reshape(2, -1)).ravel() - F
+    s, e, J = energy(Gx, Fx)
+    g = gradient(Gx, s, e)
     z = lu.solve(g)
     d = -z
     gz = float(g @ z)
@@ -287,8 +297,7 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
         step = max(step * 2.0, 1e-12)
         for _ in range(_MAX_TRIAL_STEPS):
             Gt, Ft = Gx + step * Gd, Fx + step * Fd
-            s, e, a = _dirichlet(mesh, Gt, p, eps2)
-            Jt = a / p - Ft
+            s, e, Jt = energy(Gt, Ft)
             if Jt <= J + 1e-4 * step * gd:
                 break
             step *= 0.5
@@ -297,15 +306,22 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
                 f"line search found no decrease in {_MAX_TRIAL_STEPS} steps at iteration {n_iter}"
             )
         x, Gx, Fx, J = x + step * d, Gt, Ft, Jt
-        g_new = GT @ ((e / s) * Gx.reshape(2, -1)).ravel() - F
+        history.append(J)
+        if len(history) > 10 and history[-11] - J < tol * abs(J):
+            # the carried state settled: recompute it from x, so that the
+            # result is the energy and gradient of the returned field, and
+            # stop only if the recomputed energy settled too
+            Gx, Fx = G @ x, float(F @ x)
+            s, e, J = energy(Gx, Fx)
+            history[-1] = J
+            if history[-11] - J < tol * abs(J):
+                return x, J, gradient(Gx, s, e), n_iter
+        g_new = gradient(Gx, s, e)
         z_new = lu.solve(g_new)
         gz_new = float(g_new @ z_new)
         beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
         d = -z_new + beta * d
         g, z, gz = g_new, z_new, gz_new
-        history.append(J)
-        if len(history) > 10 and history[-11] - history[-1] < tol * abs(history[-1]):
-            return x, J, g, n_iter
     raise NoConvergence(f"energy minimization did not settle in {_MAX_ITERS} iterations")
 
 

@@ -33,6 +33,21 @@ from webtorsion.solver import (
 W1 = WeightProfile.constant(1.0)
 
 
+def _recomputed_state(res):
+    """Energy, gradient norm and |F| of a nonlinear result's field, assembled
+    afresh with the solver's regularization."""
+    mesh, p = res.mesh, res.p
+    G, area, m = mesh._gradient, mesh.triangle_areas, len(mesh.triangles)
+    eps2 = (solver_mod._EPS_REG * metrics(mesh.polygon).diameter) ** 2
+    F = solver_mod._load_vector(mesh, res.weight)
+    x = res.u[mesh.n_boundary:]
+    g = G @ x
+    s = g[:m] ** 2 + g[m:] ** 2 + eps2
+    J = float(np.sum(area * s ** (p / 2.0))) / p - float(F @ x)
+    grad = G.T @ (np.tile(area * s ** ((p - 2.0) / 2.0), 2) * g) - F
+    return J, float(np.linalg.norm(grad)), float(np.linalg.norm(F))
+
+
 class TestTriangulate:
     def test_square_coarse(self, unit_square):
         mesh = triangulate(unit_square, 0.5 * 0.99)
@@ -212,26 +227,40 @@ class TestSolve:
                    WeightProfile.exponential(1.0, 1.0))
         for poly in small_corpus[:4]:
             mesh = triangulate(poly, metrics(poly).inradius / 6.0)
-            G, area, m = mesh._gradient, mesh.triangle_areas, len(mesh.triangles)
-            eps2 = (solver_mod._EPS_REG * metrics(poly).diameter) ** 2
             solve_torsion(mesh, W1, 2.0)
             assert "_gradient_T" not in mesh.__dict__  # built by p != 2 solves only
             transposes = []
             for w in weights:
-                F = solver_mod._load_vector(mesh, w)
                 for p in (1.5, 3.0, 10.0):
                     res = solve_torsion(mesh, w, p)
-                    x = res.u[mesh.n_boundary:]
-                    g = G @ x
-                    s = g[:m] ** 2 + g[m:] ** 2 + eps2
-                    J = float(np.sum(area * s ** (p / 2.0))) / p - float(F @ x)
+                    J, grad_norm, F_norm = _recomputed_state(res)
                     assert res.energy == pytest.approx(J, rel=1e-12)
-                    grad = G.T @ (np.tile(area * s ** ((p - 2.0) / 2.0), 2) * g) - F
-                    assert abs(res.grad_norm - np.linalg.norm(grad)) <= 1e-10 * np.linalg.norm(F)
+                    assert abs(res.grad_norm - grad_norm) <= 1e-10 * F_norm
                     transposes.append(mesh._gradient_T)
             GT = transposes[0]
-            assert GT.format == "csr" and (GT != G.T).nnz == 0
+            assert GT.format == "csr" and (GT != mesh._gradient.T).nnz == 0
             assert all(t is GT for t in transposes)
+
+    def test_carried_state_after_a_long_run(self):
+        # thousands of carried line searches: the result's energy and
+        # gradient are still those of the returned field
+        mesh = triangulate(disk(1.0, 256)[0], 0.05)
+        res = solve_torsion(mesh, W1, 1.3)
+        assert res.iterations > 1000
+        J, grad_norm, F_norm = _recomputed_state(res)
+        assert res.energy == pytest.approx(J, rel=1e-12)
+        assert abs(res.grad_norm - grad_norm) <= 1e-10 * F_norm
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="near p = 1.1 the energy stop accepts a stagnated field (ROADMAP item 4)",
+    )
+    def test_energy_identity_near_p_min(self):
+        # measured: the identity is off by 5e-5 to 1.5e-3, or the solve
+        # raises NoConvergence, depending on roundoff in the warm start
+        mesh = triangulate(disk(1.0, 256)[0], 0.05)
+        res = solve_torsion(mesh, W1, 1.2)
+        assert res.torsion == pytest.approx(-6.0 * res.energy, rel=1e-6)
 
     def test_maximum_principle(self, small_corpus):
         for poly in small_corpus[:6]:
