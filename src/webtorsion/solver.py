@@ -5,12 +5,20 @@ piecewise-linear fields vanishing on the boundary. A mesh lists its
 n_boundary boundary nodes first, so the free (interior) nodes are the slice
 nodes[n_boundary:] and every field is solved for on that slice. At p = 2 the
 linear system is solved directly; otherwise a preconditioned nonlinear
-conjugate gradient iteration with Armijo line search is used, warm-started
-from the scaled linear solution. The iteration carries the slopes G x and
-the load term F . x of its iterate: with G d and F . d formed once per search
-direction, an Armijo trial at step a has slopes G x + a G d and load term
-F . x + a F . d, and the accepted trial's slopes and energy become the new
-iterate's. So an iteration makes one product G d, one product G^T (w G x)
+conjugate gradient iteration is used, warm-started from the scaled linear
+solution. The iteration carries the slopes G x and the load term F . x of
+its iterate. Its line search is a safeguarded Newton search on the convex
+phi(a) = J(x + a d): with G d and F . d formed once per search direction, a
+trial at step a has slopes G x + a G d and load term F . x + a F . d, and
+phi'(a) and phi''(a) follow from those slopes per triangle, so a trial needs
+no sparse product. The first trial is the Newton step from a = 0, read from
+the iterate's own slopes. A trial is accepted when |phi'(a)| <= 0.1 |phi'(0)|
+and the energy meets the Armijo test; otherwise the search keeps a bracket
+[lo, hi] with phi'(lo) < 0 < phi'(hi), takes Newton steps inside it that move
+less than half as far as the last trial, and bisects (or doubles while hi is
+unbounded) otherwise. When the bracket shrinks to 1e-6 of hi it accepts lo, a
+descent step by convexity. The accepted trial's slopes and energy become the
+new iterate's. So an iteration makes one product G d, one product G^T (w G x)
 for the gradient and one LU solve. When the energy stop fires, G x and
 F . x are recomputed from the iterate and the stop must hold for the
 recomputed energy too, so a result's energy and gradient are those of its
@@ -42,7 +50,7 @@ P_MIN, P_MAX = 1.1, 10.0
 # candidate points (boundary plus the lattice rows across the polygon) per mesh
 _MAX_NODES = 2_000_000
 _MAX_ITERS = 100_000
-# Armijo trial steps per line search, halving from the first
+# trial steps per line search, the first being the Newton step from a = 0
 _MAX_TRIAL_STEPS = 60
 # gradient regularization scale, relative to the body diameter
 _EPS_REG = 1e-10
@@ -274,6 +282,14 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
         """G^T (w G x) - F with w = area s^(p/2) / s; s >= eps2 > 0."""
         return GT @ ((e / s) * Gx.reshape(2, -1)).ravel() - F
 
+    def slopes(Gt, s, e, Gd, Fd, dd):
+        """phi'(a) = sum w t - F . d and phi''(a) = sum w (dd + (p - 2) t^2 / s)
+        of phi(a) = J(x + a d), from the trial's slopes Gt = G x + a G d, s
+        and e: w = e / s, t = Gt . G d and dd = |G d|^2 per triangle."""
+        t = (Gt.reshape(2, -1) * Gd.reshape(2, -1)).sum(axis=0)
+        w = e / s
+        return float(w @ t) - Fd, float(w @ (dd + (p - 2.0) * t * t / s))
+
     # warm start: scale the linear solution to its own optimal amplitude
     a_p = _dirichlet(mesh, G @ x, p)[2]
     b_lin = float(F @ x)
@@ -286,7 +302,6 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     z = lu.solve(g)
     d = -z
     gz = float(g @ z)
-    step = 1.0
     history = [J]
     for n_iter in range(1, _MAX_ITERS + 1):
         gd = float(g @ d)
@@ -294,18 +309,45 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
             d = -z
             gd = -gz
         Gd, Fd = G @ d, float(F @ d)
-        step = max(step * 2.0, 1e-12)
+        dd = (Gd.reshape(2, -1) ** 2).sum(axis=0)
+        # safeguarded Newton search on the convex phi(a) = J(x + a d), with
+        # phi'(0) = gd < 0: [lo, hi] brackets its minimizer, phi'(lo) < 0
+        a, dphi, lo, hi, moved = 0.0, gd, 0.0, math.inf, math.inf
+        ddphi = slopes(Gx, s, e, Gd, Fd, dd)[1]
         for _ in range(_MAX_TRIAL_STEPS):
-            Gt, Ft = Gx + step * Gd, Fx + step * Fd
-            s, e, Jt = energy(Gt, Ft)
-            if Jt <= J + 1e-4 * step * gd:
+            a_next = a - dphi / ddphi
+            # a Newton step must stay in the bracket and move less than half
+            # as far as the last trial did; where phi' jumps (a field's
+            # slope passing near 0 at p < 2) Newton alone would bounce
+            # between the bracket's ends
+            if not (lo < a_next < hi and 2.0 * abs(a_next - a) < moved):
+                if hi < math.inf:
+                    a_next = 0.5 * (lo + hi)
+                else:
+                    a_next = 2.0 * a if a > 0.0 else 1.0
+            moved, a = abs(a_next - a), a_next
+            Gt, Ft = Gx + a * Gd, Fx + a * Fd
+            st, et, Jt = energy(Gt, Ft)
+            dphi, ddphi = slopes(Gt, st, et, Gd, Fd, dd)
+            # near convergence Jt differs from J only at roundoff, so the
+            # Armijo test can fail on a good step; the bracket on phi' below
+            # still ends in one
+            if abs(dphi) <= -0.1 * gd and Jt <= J + 1e-4 * a * gd:
                 break
-            step *= 0.5
+            if dphi < 0.0:
+                lo, at_lo = a, (Gt, Ft, st, et, Jt)
+            else:
+                hi = a
+            if hi < math.inf and hi - lo <= 1e-6 * hi:
+                # phi' < 0 at lo > 0, so by convexity lo is a descent step
+                a, (Gt, Ft, st, et, Jt) = lo, at_lo
+                break
         else:
             raise NoConvergence(
-                f"line search found no decrease in {_MAX_TRIAL_STEPS} steps at iteration {n_iter}"
+                f"line search found no descent step in {_MAX_TRIAL_STEPS} trials"
+                f" at iteration {n_iter}"
             )
-        x, Gx, Fx, J = x + step * d, Gt, Ft, Jt
+        x, Gx, Fx, s, e, J = x + a * d, Gt, Ft, st, et, Jt
         history.append(J)
         if len(history) > 10 and history[-11] - J < tol * abs(J):
             # the carried state settled: recompute it from x, so that the
