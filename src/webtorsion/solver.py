@@ -29,6 +29,12 @@ LU once, on first use, and the transpose of the gradient operator on its
 first nonlinear solve; every solve on it, for any p and weight, shares
 them. richardson_T keeps the meshes of its last ladder, so successive
 calls on the same polygon share them too.
+
+triangulate places boundary subdivision points and an interior hexagonal
+lattice. The lattice triangles whose three points were kept lie deep enough
+inside to be Delaunay triangles in closed form, so its one qhull Delaunay
+call triangulates only the strip of points along the boundary that they do
+not cover.
 """
 from __future__ import annotations
 
@@ -130,29 +136,16 @@ class Mesh:
                        options={"SymmetricMode": True})
 
 
-def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
-    """Delaunay mesh with target edge length h, boundary nodes first.
+def _mesh_points(polygon: ConvexPolygon, h: float):
+    """triangulate's points before smoothing, boundary subdivision first, with
+    n_boundary and the lattice they came from.
 
-    Each polygon edge is subdivided at spacing <= 0.9 h; these points are
-    the mesh's first n_boundary nodes. The points of an interior hexagonal
-    lattice at spacing 0.8 h are kept where they lie at least 0.4 h inside.
-    The Delaunay triangulation of a convex point set tiles the polygon
-    exactly, and one neighbor-averaging sweep of the interior nodes, keeping
-    that triangulation's connectivity, improves angles; a move is kept only
-    while the node stays at least 0.32 h inside. Interior angles stay clear
-    of 180 degrees (the quantity that governs P1 accuracy); corners sharper
-    than the target minimum angle necessarily appear in any mesh of such a
-    body.
-
-    The node budget is checked before the lattice is built: TooFine is
-    raised when the boundary points plus the lattice points of each row that
-    fall within the polygon's x-extent at that row (the candidates) exceed
-    _MAX_NODES. It bounds candidates, not kept nodes; the two differ by the
-    candidates within 0.4 h of the boundary.
+    The lattice is (x_origin, y_origin, first, stop, node): row r lies at
+    y_origin + r s sqrt(3)/2 and holds the columns k in [first[r], stop[r]),
+    at x_origin + (k + (r mod 2)/2) s with s = 0.8 h; node lists the point
+    index of each (row, column) in that order, -1 where the point was not
+    kept. Raises TooFine over the node budget, before the lattice is built.
     """
-    body = metrics(polygon)
-    if not (0.0 < h < body.inradius):
-        raise ValueError(f"target edge length h = {h!r} must lie in (0, inradius)")
     v = polygon.vertices
     edges = np.roll(v, -1, axis=0) - v
     spacing = 0.8 * h
@@ -192,21 +185,125 @@ def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
     row_x = [xs[r % 2][first[r]:stop[r]] for r in range(len(ys))]
     lattice = np.column_stack((np.concatenate(row_x), np.repeat(ys, stop - first)))
     n_bnd = len(boundary_pts)
-    pts = np.vstack([boundary_pts, lattice[polygon.signed_distance(lattice) >= clearance]])
+    kept = polygon.signed_distance(lattice) >= clearance
+    node = np.full(len(lattice), -1)
+    node[kept] = n_bnd + np.arange(np.count_nonzero(kept))
+    pts = np.vstack([boundary_pts, lattice[kept]])
+    return pts, n_bnd, (lo[0], lo[1], first, stop, node)
 
-    simplices = Delaunay(pts).simplices
 
+def _delaunay_triangles(pts: np.ndarray, h: float, lattice) -> np.ndarray:
+    """A Delaunay triangulation of pts, the deep lattice triangles in closed
+    form and qhull's on the rest.
+
+    A lattice triangle is deep when its three points were kept. Each kept
+    point lies at least s/2 inside, s = 0.8 h, and along any direction the
+    centroid of an equilateral triangle of side s lies at least s/(2 sqrt 3)
+    beyond its nearest corner, so a deep triangle's centroid lies at least
+    s (1/2 + 1/(2 sqrt 3)) = 0.79 s inside. Its open circumdisk, of radius
+    s/sqrt(3) = 0.58 s, then holds no boundary point, and every other lattice
+    point lies 2 s/sqrt(3) from its centre, so it belongs to every Delaunay
+    triangulation of pts. The one Delaunay call leaves out the points whose
+    six lattice triangles are all deep. Every edge around the deep region has
+    an empty circle through its ends only, so qhull's triangles either lie in
+    the deep region, where they are replaced by the deep triangles, or are
+    Delaunay triangles of pts; a centroid is placed in its lattice triangle
+    by arithmetic. With no deep triangle this is Delaunay(pts).simplices.
+    """
+    x_org, y_org, first, stop, node = lattice
+    spacing = 0.8 * h
+    row_step = spacing * math.sqrt(3.0) / 2.0
+    n_rows = len(first)
+    offset = np.concatenate(([0], np.cumsum(stop - first)))  # first entry of each row in node
+
+    def entry(r, k):
+        """Index into node of the lattice point (r, k), -1 where there is none."""
+        ok = (r >= 0) & (r < n_rows)
+        r = np.where(ok, r, 0)
+        ok &= (first[r] <= k) & (k < stop[r])
+        return np.where(ok, offset[r] + k - first[r], -1)
+
+    def point(r, k):
+        """Point index of the lattice point (r, k), -1 where it was not kept."""
+        e = entry(r, k)
+        return np.where(e >= 0, node[e], -1)
+
+    # with a = k - floor(r / 2) the lattice point (r, k) is x_org + a (s, 0)
+    # + r (s/2, s sqrt(3)/2); the triangle (a, r), (a + 1, r), (a, r + 1)
+    # points up and (a, r), (a, r + 1), (a - 1, r + 1) down, both listed at
+    # the entry of their row-r corner (r, k)
+    r = np.repeat(np.arange(n_rows), stop - first)
+    k = first[r] + np.arange(len(node)) - offset[r]
+    c = k + r % 2  # column of a in row r + 1
+    above = point(r + 1, c)
+    tris = (np.column_stack((node, point(r, k + 1), above)),
+            np.column_stack((node, above, point(r + 1, c - 1))))
+    deep = np.array([np.all(t >= 0, axis=1) for t in tris])  # [up, down] per entry
+    deep_tris = np.concatenate([t[d] for t, d in zip(tris, deep)])
+
+    sub = np.flatnonzero(np.bincount(deep_tris.ravel(), minlength=len(pts)) < 6)
+    strip = sub[Delaunay(pts[sub]).simplices]
+    if len(deep_tris) == 0:  # nothing to replace, and maybe no entry to look up
+        return strip
+    # the lattice triangle holding each centroid: its row and skew coordinate
+    cent = pts[strip].mean(axis=1)
+    b = (cent[:, 1] - y_org) / row_step
+    a = (cent[:, 0] - x_org) / spacing - 0.5 * b
+    row, col = np.floor(b), np.floor(a)
+    kind = ((a - col) + (b - row) >= 1.0).astype(int)  # 0 up at col, 1 down at col + 1
+    row, col = row.astype(int), col.astype(int) + kind
+    e = entry(row, col + row // 2)
+    in_deep = (e >= 0) & deep[kind, np.maximum(e, 0)]
+    return np.concatenate((strip[~in_deep], deep_tris))
+
+
+def _smoothed(polygon: ConvexPolygon, pts: np.ndarray, simplices: np.ndarray, n_bnd: int,
+              min_depth: float) -> np.ndarray:
+    """pts after one sweep that moves each interior node to the mean of its
+    neighbours over the triangles' edges, where the move keeps it at least
+    min_depth inside. The sums accumulate in the order of the edge list
+    (a, b), (b, a) for a, b = 0 1, 1 2, 2 0."""
+    a = simplices[:, [0, 1, 1, 2, 2, 0]].T.ravel()
+    b = simplices[:, [1, 0, 2, 1, 0, 2]].T.ravel()
+    n = len(pts)
+    total = np.column_stack([np.bincount(a, weights=pts[b, i], minlength=n) for i in (0, 1)])
+    count = np.bincount(a, minlength=n).astype(float)
+    cand = total[n_bnd:] / np.maximum(count[n_bnd:], 1.0)[:, None]
+    ok = polygon.signed_distance(cand) >= min_depth
+    out = pts.copy()
+    out[n_bnd:][ok] = cand[ok]
+    return out
+
+
+def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
+    """Delaunay mesh with target edge length h, boundary nodes first.
+
+    Each polygon edge is subdivided at spacing <= 0.9 h; these points are
+    the mesh's first n_boundary nodes. The points of an interior hexagonal
+    lattice at spacing 0.8 h are kept where they lie at least 0.4 h inside.
+    The Delaunay triangulation of a convex point set tiles the polygon
+    exactly. Its deep lattice triangles, whose circumdisks lie inside the
+    polygon, are known in closed form, so qhull triangulates only the strip
+    of points along the boundary (_delaunay_triangles). One neighbor-averaging
+    sweep of the interior nodes, keeping that triangulation's connectivity,
+    improves angles; a move is kept only while the node stays at least
+    0.32 h inside. Interior angles stay clear of 180 degrees (the quantity
+    that governs P1 accuracy); corners sharper than the target minimum angle
+    necessarily appear in any mesh of such a body.
+
+    The node budget is checked before the lattice is built: TooFine is
+    raised when the boundary points plus the lattice points of each row that
+    fall within the polygon's x-extent at that row (the candidates) exceed
+    _MAX_NODES. It bounds candidates, not kept nodes; the two differ by the
+    candidates within 0.4 h of the boundary.
+    """
+    body = metrics(polygon)
+    if not (0.0 < h < body.inradius):
+        raise ValueError(f"target edge length h = {h!r} must lie in (0, inradius)")
+    pts, n_bnd, lattice = _mesh_points(polygon, h)
+    simplices = _delaunay_triangles(pts, h, lattice)
     # one averaging sweep on interior nodes; the connectivity stays
-    neigh_sum = np.zeros_like(pts)
-    neigh_cnt = np.zeros(len(pts))
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        np.add.at(neigh_sum, simplices[:, a], pts[simplices[:, b]])
-        np.add.at(neigh_cnt, simplices[:, a], 1.0)
-        np.add.at(neigh_sum, simplices[:, b], pts[simplices[:, a]])
-        np.add.at(neigh_cnt, simplices[:, b], 1.0)
-    cand = neigh_sum[n_bnd:] / np.maximum(neigh_cnt[n_bnd:], 1.0)[:, None]
-    ok = polygon.signed_distance(cand) >= 0.8 * clearance
-    pts[n_bnd:][ok] = cand[ok]
+    pts = _smoothed(polygon, pts, simplices, n_bnd, 0.32 * h)
 
     # orient, then drop slivers of essentially zero area (collinear boundary runs)
     p0, p1, p2 = pts[simplices[:, 0]], pts[simplices[:, 1]], pts[simplices[:, 2]]
@@ -250,9 +347,9 @@ def _load_vector(mesh: Mesh, weight: WeightProfile) -> np.ndarray:
     share to each of its nodes."""
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
     contrib = mesh.triangle_areas * weight(mesh.polygon.signed_distance(cent)) / 3.0
-    F = np.zeros(mesh.node_count)
-    for i in range(3):
-        np.add.at(F, mesh.triangles[:, i], contrib)
+    # node by node in the order of the triangle list's columns
+    F = np.bincount(mesh.triangles.T.ravel(), weights=np.tile(contrib, 3),
+                    minlength=mesh.node_count)
     return F[mesh.n_boundary:]
 
 

@@ -5,9 +5,10 @@ the library (series, quadrature, direction sampling, a linear program for the
 inscribed disk, a half-plane intersection per profile node, element-by-element
 stiffness assembly, a loop over the mesh's edge subdivision points, a loop
 over the Steiner difference quotients, bisection for the theorem 3
-threshold, clipping for the body-rectangle symmetric difference) so the two
-can act as mutual checks. The mesh-quality probes (angle range, longest
-edge) measure meshes that the library builds but never inspects.
+threshold, clipping for the body-rectangle symmetric difference, one qhull
+call on every mesh point, np.add.at sums) so the two can act as mutual
+checks. The mesh-quality probes (angle range, longest edge) measure meshes
+that the library builds but never inspects.
 """
 import math
 from collections import deque
@@ -15,6 +16,7 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.spatial import Delaunay
 
 
 def torsion_rectangle_series(a: float, b: float, terms: int = 400) -> float:
@@ -230,6 +232,73 @@ def boundary_subdivision_loop(vertices, h: float) -> np.ndarray:
         for j in range(n_seg):
             pts.append(a + (b - a) * (j / n_seg))
     return np.asarray(pts)
+
+
+def smoothing_sweep_add_at(polygon, pts, simplices, n_bnd: int, min_depth: float) -> np.ndarray:
+    """triangulate's smoothing sweep with twelve np.add.at sums: each interior
+    node moves to the mean of its neighbours over the triangles' edges where
+    the move keeps it at least min_depth inside."""
+    neigh_sum = np.zeros_like(pts)
+    neigh_cnt = np.zeros(len(pts))
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        np.add.at(neigh_sum, simplices[:, a], pts[simplices[:, b]])
+        np.add.at(neigh_cnt, simplices[:, a], 1.0)
+        np.add.at(neigh_sum, simplices[:, b], pts[simplices[:, a]])
+        np.add.at(neigh_cnt, simplices[:, b], 1.0)
+    cand = neigh_sum[n_bnd:] / np.maximum(neigh_cnt[n_bnd:], 1.0)[:, None]
+    ok = polygon.signed_distance(cand) >= min_depth
+    out = pts.copy()
+    out[n_bnd:][ok] = cand[ok]
+    return out
+
+
+def full_delaunay_mesh(polygon, pts, n_bnd: int, h: float):
+    """Nodes and triangles of triangulate from its points before smoothing
+    by one qhull call on all of them: the smoothing sweep at 0.32 h, then
+    counter-clockwise orientation and the drop of triangles with
+    |cross| <= 1e-12 h^2."""
+    simplices = Delaunay(pts).simplices
+    nodes = smoothing_sweep_add_at(polygon, pts, simplices, n_bnd, 0.32 * h)
+    v0 = nodes[simplices[:, 0]]
+    e1, e2 = nodes[simplices[:, 1]] - v0, nodes[simplices[:, 2]] - v0
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    simplices[cross < 0.0] = simplices[cross < 0.0][:, [0, 2, 1]]
+    return nodes, simplices[np.abs(cross) > 1e-12 * h * h]
+
+
+def load_vector_add_at(mesh, weight) -> np.ndarray:
+    """The solver's free-node loads with three np.add.at sums: f at each
+    centroid, a third of the triangle's share to each of its nodes."""
+    cent = mesh.nodes[mesh.triangles].mean(axis=1)
+    contrib = mesh.triangle_areas * weight(mesh.polygon.signed_distance(cent)) / 3.0
+    F = np.zeros(mesh.node_count)
+    for i in range(3):
+        np.add.at(F, mesh.triangles[:, i], contrib)
+    return F[mesh.n_boundary:]
+
+
+def delaunay_tie_gap(pts, tri_a, tri_b, h: float):
+    """Triangles of tri_a and tri_b (vertex triples) found in only one of the
+    two, and the largest, over those triangles, of the smallest
+    |incircle determinant| / h^4 of its three vertices and the fourth vertex
+    of an edge-sharing triangle of the other set; inf when one has no such
+    partner. Two Delaunay triangulations of the same points differ only by
+    such flips of cocircular quadrilaterals, where the determinant is 0."""
+    set_a = {tuple(sorted(t)) for t in np.asarray(tri_a).tolist()}
+    set_b = {tuple(sorted(t)) for t in np.asarray(tri_b).tolist()}
+    only_a, only_b = set_a - set_b, set_b - set_a
+    worst = 0.0
+    for mine, other in ((only_a, only_b), (only_b, only_a)):
+        for t in mine:
+            best = math.inf
+            for u in other:
+                rest = set(u) - set(t)
+                if len(rest) == 1:
+                    d = pts[rest.pop()]
+                    rows = [(*(pts[i] - d), float(np.sum((pts[i] - d) ** 2))) for i in t]
+                    best = min(best, abs(float(np.linalg.det(np.array(rows)))) / h**4)
+            worst = max(worst, best)
+    return len(only_a) + len(only_b), worst
 
 
 def angle_range_degrees(nodes, triangles):

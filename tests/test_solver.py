@@ -13,7 +13,11 @@ from oracles import (
     T_UNIT_SQUARE,
     angle_range_degrees,
     boundary_subdivision_loop,
+    delaunay_tie_gap,
+    full_delaunay_mesh,
+    load_vector_add_at,
     max_edge_length,
+    smoothing_sweep_add_at,
     stiffness_coo,
     torsion_rectangle_series,
 )
@@ -106,12 +110,58 @@ class TestTriangulate:
             triangulate(unit_square, 0.0)
 
     def test_one_delaunay_call(self, unit_square, monkeypatch):
-        # the smoothing sweep keeps the connectivity of the first triangulation
+        # the smoothing sweep keeps the connectivity of the first triangulation,
+        # and qhull sees only the strip of points off the deep lattice: the 72
+        # boundary points and the 78 lattice points of the outer rows and
+        # columns
         calls = []
         real = solver_mod.Delaunay
         monkeypatch.setattr(solver_mod, "Delaunay", lambda pts: calls.append(len(pts)) or real(pts))
         mesh = triangulate(unit_square, 1.0 / 16)
-        assert calls == [mesh.node_count]
+        assert mesh.node_count == 490
+        assert calls == [150]
+
+    def test_strip_route_matches_full_delaunay(self, small_corpus):
+        # on the same points before smoothing, one qhull call on every point
+        # gives the same triangles up to flips of cocircular quadrilaterals
+        # (only rectangle(0.1) has one, at 8e-12 h^4), and then the same
+        # nodes up to the order of the smoothing sums
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotated = polygon_from_vertices(
+            [(c * x - s * y, s * x + c * y) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]])
+        cases = [(poly, metrics(poly).inradius / 4.0) for poly in small_corpus[:8]]
+        cases += [(disk(1.0, 256)[0], 0.02), (rotated, 1.0 / 24), (rectangle(0.1)[0], 0.0125)]
+        ties = 0
+        for poly, h in cases:
+            pts, nb, _ = solver_mod._mesh_points(poly, h)
+            mesh = triangulate(poly, h)
+            nodes, tris = full_delaunay_mesh(poly, pts, nb, h)
+            differ, gap = delaunay_tie_gap(pts, mesh.triangles, tris, h)
+            assert gap <= 1e-10
+            if differ:
+                ties += 1
+            else:
+                assert np.abs(mesh.nodes - nodes).max() <= 1e-12 * h
+        assert ties <= 1
+
+    def test_without_deep_points_qhull_meshes_every_node(self, unit_square, monkeypatch):
+        # at h = 0.49 no lattice point has six deep triangles around it
+        calls = []
+        real = solver_mod.Delaunay
+        monkeypatch.setattr(solver_mod, "Delaunay", lambda pts: calls.append(len(pts)) or real(pts))
+        mesh = triangulate(unit_square, 0.49)
+        assert calls == [mesh.node_count] == [16]
+        pts, nb, _ = solver_mod._mesh_points(unit_square, 0.49)
+        nodes, tris = full_delaunay_mesh(unit_square, pts, nb, 0.49)
+        assert delaunay_tie_gap(pts, mesh.triangles, tris, 0.49)[0] == 0
+        assert np.abs(mesh.nodes - nodes).max() <= 1e-12
+
+    def test_smoothing_sums_match_add_at_bitwise(self):
+        for poly, h in ((disk(1.0, 256)[0], 0.05), (rectangle(0.1)[0], 0.0125)):
+            pts, nb, lattice = solver_mod._mesh_points(poly, h)
+            tris = solver_mod._delaunay_triangles(pts, h, lattice)
+            got = solver_mod._smoothed(poly, pts, tris, nb, 0.32 * h)
+            assert got.tobytes() == smoothing_sweep_add_at(poly, pts, tris, nb, 0.32 * h).tobytes()
 
     def test_node_budget(self, unit_square, monkeypatch):
         monkeypatch.setattr(solver_mod, "_MAX_NODES", 100)
@@ -149,6 +199,12 @@ class TestDiscretization:
             ref = stiffness_coo(mesh.nodes, mesh.triangles)[nb:, nb:]
             K, _ = mesh._stiffness_lu
             assert abs(K - ref).max() <= 1e-13 * abs(ref).max()
+
+    def test_load_vector_matches_add_at_bitwise(self):
+        mesh = triangulate(disk(1.0, 256)[0], 0.05)
+        for weight in (W1, WeightProfile.exponential(1.0, 1.0)):
+            got = solver_mod._load_vector(mesh, weight)
+            assert got.tobytes() == load_vector_add_at(mesh, weight).tobytes()
 
     def test_one_factorization_per_mesh(self, unit_square, monkeypatch):
         calls = []
