@@ -3,11 +3,13 @@
 The torsion energy J(u) = (1/p) int |grad u|^p - int f u is minimized over
 piecewise-linear fields vanishing on the boundary. A mesh lists its
 n_boundary boundary nodes first, so the free (interior) nodes are the slice
-nodes[n_boundary:] and every field is solved for on that slice. At p = 2 the
-linear system is solved directly; otherwise a preconditioned nonlinear
-conjugate gradient iteration is used, warm-started from the scaled linear
-solution. The iteration carries the slopes G x and the load term F . x of
-its iterate. Its line search is a safeguarded Newton search on the convex
+nodes[n_boundary:] and every field is solved for on that slice. The free
+nodes come in a nested-dissection elimination order, and the stiffness
+matrix is factorized in that order. At p = 2 the linear system is solved
+directly; otherwise a preconditioned nonlinear conjugate gradient iteration
+is used, warm-started from the scaled linear solution. The iteration
+carries the slopes G x and the load term F . x of its iterate. Its line
+search is a safeguarded Newton search on the convex
 phi(a) = J(x + a d): with G d and F . d formed once per search direction, a
 trial at step a has slopes G x + a G d and load term F . x + a F . d, and
 phi'(a) and phi''(a) follow from those slopes per triangle, so a trial needs
@@ -60,6 +62,8 @@ _MAX_ITERS = 100_000
 _MAX_TRIAL_STEPS = 60
 # gradient regularization scale, relative to the body diameter
 _EPS_REG = 1e-10
+# free nodes per leaf box of the nested-dissection order, at most on average
+_LEAF = 32
 
 # richardson_T's last ladder: its polygon and {h: Mesh} for that call's h values
 _ladder_polygon = None
@@ -71,9 +75,9 @@ class Mesh:
     """Immutable triangle mesh of a convex polygon and its P1 operators.
 
     The first n_boundary nodes lie on the boundary; the rest are the free
-    nodes. The areas, the gradient operator and the factorized stiffness
-    matrix are built on first use and cached, so every (weight, p) solve
-    shares them.
+    nodes, in elimination order. The areas, the gradient operator and the
+    factorized stiffness matrix are built on first use and cached, so every
+    (weight, p) solve shares them.
     """
 
     polygon: ConvexPolygon
@@ -127,18 +131,20 @@ class Mesh:
     def _stiffness_lu(self):
         """K_ff = G^T diag(area, area) G and its sparse LU, one per mesh.
 
-        K_ff is symmetric positive definite, so the LU needs no pivoting and
-        a minimum-degree ordering of K + K^T keeps its fill low.
+        K_ff is symmetric positive definite, so the LU needs no pivoting.
+        The free nodes come in nested-dissection order, and the LU keeps
+        that order: it permutes no column.
         """
         G = self._gradient
         K = (G.T @ sp.diags(np.tile(self.triangle_areas, 2)) @ G).tocsc()
-        return K, splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return K, splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
 
 
 def _mesh_points(polygon: ConvexPolygon, h: float):
     """triangulate's points before smoothing, boundary subdivision first, with
-    n_boundary and the lattice they came from.
+    n_boundary and the lattice they came from. The kept lattice points, the
+    free nodes, follow in the elimination order of _dissection_order.
 
     The lattice is (x_origin, y_origin, first, stop, node): row r lies at
     y_origin + r s sqrt(3)/2 and holds the columns k in [first[r], stop[r]),
@@ -185,11 +191,60 @@ def _mesh_points(polygon: ConvexPolygon, h: float):
     row_x = [xs[r % 2][first[r]:stop[r]] for r in range(len(ys))]
     lattice = np.column_stack((np.concatenate(row_x), np.repeat(ys, stop - first)))
     n_bnd = len(boundary_pts)
-    kept = polygon.signed_distance(lattice) >= clearance
+    # each lattice point's row r and half-column 2 k + (r mod 2)
+    counts = stop - first
+    row = np.repeat(np.arange(len(ys)), counts)
+    start = np.cumsum(counts) - counts  # first entry of each row
+    col = 2 * (np.arange(len(row)) - np.repeat(start - first, counts)) + row % 2
+    kept = np.flatnonzero(polygon.signed_distance(lattice) >= clearance)
+    kept = kept[_dissection_order(col[kept], row[kept])]
     node = np.full(len(lattice), -1)
-    node[kept] = n_bnd + np.arange(np.count_nonzero(kept))
+    node[kept] = n_bnd + np.arange(len(kept))
     pts = np.vstack([boundary_pts, lattice[kept]])
     return pts, n_bnd, (lo[0], lo[1], first, stop, node)
+
+
+def _dissection_order(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the lattice points at half-columns col and
+    rows row, as a permutation of their indices.
+
+    Their bounding box is bisected at its midpoint along its longer side
+    D = ceil(log2(n / _LEAF)) times. The boxes of one level are congruent, so
+    the axis of each split is global and a point's path through the boxes is
+    a D-bit code. A point within one lattice step above a split (one step is
+    2 half-columns or 1 row) belongs to that split's separator: shifted one
+    step down, its code changes first at that split's bit. Separators come
+    after both halves they separate (post-order), and the points of one leaf
+    box or one separator keep their order. At most _LEAF points keep theirs.
+    """
+    n = len(col)
+    if n <= _LEAF:
+        return np.arange(n)
+    depth = math.ceil(math.log2(n / _LEAF))
+    q = (col - col.min(), row - row.min())
+    span = [int(q[0].max()), int(q[1].max())]
+    side = [0.5 * span[0], math.sqrt(3.0) / 2.0 * span[1]]  # in lattice steps
+    axes = []
+    for _ in range(depth):
+        axes.append(int(side[1] > side[0]))
+        side[axes[-1]] /= 2.0
+    # code: the D-bit path; moved: the bits that change one step down
+    code = np.zeros(n, dtype=np.int64)
+    moved = np.zeros(n, dtype=np.int64)
+    for a, step in ((0, 2), (1, 1)):
+        levels = [lvl for lvl, b in enumerate(axes) if b == a]
+        # for each coordinate k along axis a, its box's bits at those levels
+        k = np.arange(span[a] + 1)
+        box = np.minimum((k << len(levels)) // max(span[a], 1), (1 << len(levels)) - 1)
+        bits = np.zeros(len(k), dtype=np.int64)
+        for j, lvl in enumerate(levels):
+            bits |= ((box >> (len(levels) - 1 - j)) & 1) << (depth - 1 - lvl)
+        code |= bits[q[a]]
+        moved |= (bits ^ bits[np.maximum(k - step, 0)])[q[a]]
+    # a separator point takes the key of its box's last leaf, then sorts
+    # after the deeper separators that share it; tail = D - its level
+    tail = np.frexp(moved)[1]  # bit length, 0 in a leaf
+    return np.argsort((code | ((1 << tail) - 1)) * (depth + 1) + tail, kind="stable")
 
 
 def _delaunay_triangles(pts: np.ndarray, h: float, lattice) -> np.ndarray:
@@ -276,7 +331,8 @@ def _smoothed(polygon: ConvexPolygon, pts: np.ndarray, simplices: np.ndarray, n_
 
 
 def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
-    """Delaunay mesh with target edge length h, boundary nodes first.
+    """Delaunay mesh with target edge length h, boundary nodes first and the
+    free nodes in nested-dissection order (_dissection_order).
 
     Each polygon edge is subdivided at spacing <= 0.9 h; these points are
     the mesh's first n_boundary nodes. The points of an interior hexagonal

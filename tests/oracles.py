@@ -6,9 +6,10 @@ inscribed disk, a half-plane intersection per profile node, element-by-element
 stiffness assembly, a loop over the mesh's edge subdivision points, a loop
 over the Steiner difference quotients, bisection for the theorem 3
 threshold, clipping for the body-rectangle symmetric difference, one qhull
-call on every mesh point, np.add.at sums) so the two can act as mutual
-checks. The mesh-quality probes (angle range, longest edge) measure meshes
-that the library builds but never inspects.
+call on every mesh point, np.add.at sums, a minimum-degree LU, full lattice
+rows) so the two can act as mutual checks. The mesh-quality probes (angle
+range, longest edge) measure meshes that the library builds but never
+inspects.
 """
 import math
 from collections import deque
@@ -16,6 +17,7 @@ from collections import deque
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay
 
 
@@ -264,6 +266,38 @@ def full_delaunay_mesh(polygon, pts, n_bnd: int, h: float):
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     simplices[cross < 0.0] = simplices[cross < 0.0][:, [0, 2, 1]]
     return nodes, simplices[np.abs(cross) > 1e-12 * h * h]
+
+
+def kept_lattice_rows(polygon, h: float) -> np.ndarray:
+    """triangulate's interior lattice points before smoothing, row by row
+    and left to right: every point of the rows of spacing 0.8 h across the
+    bounding box, shrunk by 0.4 h, that lies at least 0.4 h inside."""
+    s = 0.8 * h
+    v = polygon.vertices
+    lo, hi = v.min(axis=0) + 0.5 * s, v.max(axis=0) - 0.5 * s + 1e-15
+    rows = []
+    for r, y in enumerate(np.arange(lo[1], hi[1], s * math.sqrt(3.0) / 2.0)):
+        xs = np.arange(lo[0] + 0.5 * s * (r % 2), hi[0], s)
+        row = np.column_stack((xs, np.full(len(xs), y)))
+        rows.append(row[polygon.signed_distance(row) >= 0.5 * s])
+    return np.concatenate(rows)
+
+
+def splu_minimum_degree(K):
+    """SuperLU factorization of the symmetric positive definite K without
+    pivoting, on a minimum-degree ordering of K + K^T in symmetric mode."""
+    return splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def p2_field_minimum_degree(mesh, weight) -> np.ndarray:
+    """The p = 2 field on every node of mesh: K_ff from the element
+    matrices, the loads from np.add.at sums and a minimum-degree LU."""
+    nb = mesh.n_boundary
+    lu = splu_minimum_degree(stiffness_coo(mesh.nodes, mesh.triangles)[nb:, nb:])
+    u = np.zeros(mesh.node_count)
+    u[nb:] = lu.solve(load_vector_add_at(mesh, weight))
+    return u
 
 
 def load_vector_add_at(mesh, weight) -> np.ndarray:

@@ -15,9 +15,12 @@ from oracles import (
     boundary_subdivision_loop,
     delaunay_tie_gap,
     full_delaunay_mesh,
+    kept_lattice_rows,
     load_vector_add_at,
     max_edge_length,
+    p2_field_minimum_degree,
     smoothing_sweep_add_at,
+    splu_minimum_degree,
     stiffness_coo,
     torsion_rectangle_series,
 )
@@ -163,6 +166,49 @@ class TestTriangulate:
             got = solver_mod._smoothed(poly, pts, tris, nb, 0.32 * h)
             assert got.tobytes() == smoothing_sweep_add_at(poly, pts, tris, nb, 0.32 * h).tobytes()
 
+    def test_two_calls_give_identical_meshes(self, small_corpus):
+        for poly, h in ((small_corpus[0], metrics(small_corpus[0]).inradius / 6.0),
+                        (disk(1.0, 256)[0], 0.02)):
+            a, b = triangulate(poly, h), triangulate(poly, h)
+            assert a.nodes.tobytes() == b.nodes.tobytes()
+            assert a.triangles.tobytes() == b.triangles.tobytes()
+
+    def test_free_nodes_permute_the_kept_lattice(self, unit_square, small_corpus):
+        # the lattice's point index, read in lattice order, lists the kept
+        # points row by row; the free nodes hold them in elimination order
+        cases = [(unit_square, 1.0 / 64), (disk(1.0, 256)[0], 0.02), (rectangle(0.1)[0], 0.0125),
+                 (small_corpus[1], metrics(small_corpus[1]).inradius / 4.0)]
+        for poly, h in cases:
+            pts, nb, lattice = solver_mod._mesh_points(poly, h)
+            node = lattice[4]
+            kept = node[node >= 0]
+            assert np.array_equal(np.sort(kept), np.arange(nb, len(pts)))
+            assert not np.array_equal(kept, np.arange(nb, len(pts)))
+            assert pts[kept].tobytes() == kept_lattice_rows(poly, h).tobytes()
+
+    def test_identity_order_below_one_leaf(self, unit_square):
+        # 4 free nodes, fewer than one leaf box holds, and none at all
+        pts, nb, lattice = solver_mod._mesh_points(unit_square, 0.49)
+        node = lattice[4]
+        assert np.array_equal(node[node >= 0], np.arange(nb, nb + 4))
+        assert len(pts) == nb + 4
+        none = np.zeros(0, dtype=np.int64)
+        assert len(solver_mod._dissection_order(none, none)) == 0
+
+    def test_single_row_of_free_nodes(self):
+        # the low corner shifts the lattice rows so that only one row is
+        # kept: the box has no extent across and splits along x only
+        poly = polygon_from_vertices([(-0.02, -0.002), (2, 0), (2, 0.1), (0, 0.1)])
+        h = 0.95 * metrics(poly).inradius
+        pts, nb, _ = solver_mod._mesh_points(poly, h)
+        assert len(np.unique(pts[nb:, 1])) == 1
+        assert len(pts) - nb > solver_mod._LEAF
+        mesh = triangulate(poly, h)
+        assert float(np.sum(mesh.triangle_areas)) == pytest.approx(metrics(poly).area, rel=1e-12)
+        ref = p2_field_minimum_degree(mesh, W1)
+        u = solve_torsion(mesh, W1, 2.0).u
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_node_budget(self, unit_square, monkeypatch):
         monkeypatch.setattr(solver_mod, "_MAX_NODES", 100)
         with pytest.raises(TooFine):
@@ -223,8 +269,9 @@ class TestDiscretization:
             (polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0 / 64),
             (disk(1.0, 256)[0], 1.0 / 24),
             (rectangle(0.1)[0], 0.05 / 4),
+            (rectangle(0.05)[0], 0.025 / 4),
         ],
-        ids=["square", "disk", "rectangle"],
+        ids=["square", "disk", "rectangle", "thin_rectangle"],
     )
     def test_lu_solves_stiffness(self, poly, h):
         # no pivoting: K_ff is symmetric positive definite
@@ -237,6 +284,23 @@ class TestDiscretization:
 
         K, lu = triangulate(unit_square, 1.0 / 96)._stiffness_lu
         assert lu.nnz < splu(K).nnz
+
+    def test_nested_dissection_fills_less_than_minimum_degree(self, unit_square):
+        K, lu = triangulate(unit_square, 1.0 / 96)._stiffness_lu
+        assert lu.nnz < splu_minimum_degree(K).nnz
+
+    @pytest.mark.parametrize("case", ["square", "disk", "rectangle", "corpus"])
+    def test_p2_matches_minimum_degree_route(self, case, small_corpus):
+        poly, h = {
+            "square": lambda: (polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0 / 64),
+            "disk": lambda: (disk(1.0, 256)[0], 1.0 / 24),
+            "rectangle": lambda: (rectangle(0.1)[0], 0.0125),
+            "corpus": lambda: (small_corpus[0], metrics(small_corpus[0]).inradius / 6.0),
+        }[case]()
+        mesh = triangulate(poly, h)
+        ref = p2_field_minimum_degree(mesh, W1)
+        u = solve_torsion(mesh, W1, 2.0).u
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSolve:
