@@ -125,18 +125,6 @@ class BoundSet:
     inf_weight: float
     f_p_window: tuple[float, float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "c_p": self.c_p,
-            "closed": self.closed,
-            "refined": self.refined,
-            "integral": self.integral,
-            "inf_weight": self.inf_weight,
-            "F_p_window": list(self.f_p_window),
-        }
-
 
 def bound_report(prof: ParallelProfile, p: float) -> BoundSet:
     """Evaluate every bound on a profile and package them with the F_p window."""

@@ -2,20 +2,25 @@
 
 Exit status: 0 when every requested verdict holds, 2 when an inequality
 violation is detected, 1 on usage or convergence errors. Outputs are
-deterministic: JSON with sorted keys, CSV with 17 significant digits.
+deterministic: JSON with sorted keys, CSV with 17 significant digits. This
+module is the only one that formats output: report dataclasses are written
+field by field, under the names of _OUTPUT_NAMES where those differ.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict, is_dataclass
+
+import numpy as np
 
 from . import harness, shapes
 from .bounds import bound_report
 from .errors import WebTorsionError, ViolationFound
 from .geometry import metrics
 from .parallel import DEFAULT_GRID, WeightProfile, profile, steiner_check
-from .quantitative import theorem2_report, theorem3_report
+from .quantitative import K_TILDE_BASIS, theorem2_report, theorem3_report
 from .solver import P_MAX, P_MIN, richardson_T, solve_torsion, triangulate
 
 
@@ -46,13 +51,43 @@ def _load_polygon(path: str):
     return shapes.from_descriptor(desc)
 
 
-def _emit_json(obj: dict, out=None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+_OUTPUT_NAMES = {"torsion": "T", "f_p_window": "F_p_window"}
+
+
+def _fields(report) -> dict:
+    """A report dataclass as a dict under its output names."""
+    return {_OUTPUT_NAMES.get(k, k): v for k, v in asdict(report).items()}
+
+
+def _json_default(obj):
+    if is_dataclass(obj):
+        return _fields(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write(text: str, out=None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit_json(obj, out=None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n", out)
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _emit_csv(header, rows, out=None) -> None:
+    """Comma separated rows under a header line; see _cell for the cells."""
+    _write("".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows]), out)
 
 
 def _parse_l_grid(spec: str):
@@ -133,38 +168,23 @@ def cli_dispatch(argv) -> int:
 def _run(args) -> int:
     if args.command == "geometry":
         poly, _ = _load_polygon(args.shape)
-        m = metrics(poly)
-        _emit_json(
-            {
-                "area": m.area,
-                "perimeter": m.perimeter,
-                "diameter": m.diameter,
-                "width": m.width,
-                "width_direction": list(m.width_direction),
-                "inradius": m.inradius,
-                "incenter": list(m.incenter),
-                "vertices": len(poly.vertices),
-            },
-            args.out,
-        )
+        _emit_json({**asdict(metrics(poly)), "vertices": len(poly.vertices)}, args.out)
         return 0
 
     if args.command == "profile":
         poly, _ = _load_polygon(args.shape)
         prof = profile(poly, args.weight, args.grid)
         rep = steiner_check(prof)
+        columns = (prof.t, prof.perimeters, prof.areas, prof.weighted)
+        _emit_csv(["t", "P", "mu", "mu_f"], zip(*(c.tolist() for c in columns)), args.out)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                prof.to_csv(fh)
-            _emit_json(rep.to_json_dict())
-        else:
-            prof.to_csv(sys.stdout)
+            _emit_json(rep)
         return 0
 
     if args.command == "bound":
         poly, _ = _load_polygon(args.shape)
         prof = profile(poly, args.weight, args.grid)
-        _emit_json(bound_report(prof, args.p).to_json_dict(), args.out)
+        _emit_json(bound_report(prof, args.p), args.out)
         return 0
 
     if args.command == "solve":
@@ -174,21 +194,9 @@ def _run(args) -> int:
         mesh = triangulate(poly, h)
         res = solve_torsion(mesh, args.weight, args.p, args.tol)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("x,y,u\n")
-                for (x, y), u in zip(mesh.nodes, res.u):
-                    fh.write(f"{x:.17g},{y:.17g},{u:.17g}\n")
-        _emit_json(
-            {
-                "T": res.torsion,
-                "J": res.energy,
-                "iters": res.iterations,
-                "grad_norm": res.grad_norm,
-                "h": h,
-                "p": args.p,
-                "nodes": mesh.node_count,
-            }
-        )
+            _emit_csv(["x", "y", "u"], np.column_stack((mesh.nodes, res.u)).tolist(), args.out)
+        _emit_json({"T": res.torsion, "J": res.energy, "iters": res.iterations,
+                    "grad_norm": res.grad_norm, "h": h, "p": args.p, "nodes": mesh.node_count})
         return 0
 
     if args.command == "deficit":
@@ -199,20 +207,18 @@ def _run(args) -> int:
         rich = richardson_T(poly, w1, args.p, [4 * h, 2 * h, h])
         if args.p == 2.0:
             rep = theorem3_report(poly, rich.torsion, body)
+            payload = {**_fields(rep), "k_tilde_basis": K_TILDE_BASIS}
         else:
             rep = theorem2_report(body, rich.torsion, args.p)
-        payload = rep.to_json_dict()
-        payload["T_error"] = rich.error
-        _emit_json(payload, args.out)
+            # the p = 2 only fields, all None here, are left out
+            payload = {k: v for k, v in _fields(rep).items() if v is not None}
+        _emit_json({**payload, "T_error": rich.error}, args.out)
         return 0 if rep.all_ok else 2
 
     if args.command == "sequence":
         rows = harness.run_sequence(args.kind, args.l, args.p, args.grid)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                harness.write_sequence_csv(rows, fh)
-        else:
-            harness.write_sequence_csv(rows, sys.stdout)
+        columns = harness.SEQUENCE_COLUMNS
+        _emit_csv(columns, ([row[c] for c in columns] for row in rows), args.out)
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 harness.write_sequence_svg(rows, fh)
@@ -223,7 +229,7 @@ def _run(args) -> int:
     if args.command == "fuzz":
         cfg = harness.FuzzConfig(seed=args.seed, count=args.n)
         summary = harness.fuzz_suite(cfg, args.grid)
-        _emit_json(summary.to_json_dict(), args.out)
+        _emit_json(summary, args.out)
         return 0 if not summary.violations else 2
 
     raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover

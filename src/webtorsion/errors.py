@@ -30,7 +30,7 @@ class BadParameter(WebTorsionError):
 
 
 class TooFine(WebTorsionError):
-    """Requested mesh would exceed the node budget."""
+    """Requested mesh or profile grid would exceed its size budget."""
 
 
 class NoConvergence(WebTorsionError):

@@ -186,9 +186,6 @@ class FuzzSummary:
     violations: list
     worst: dict
 
-    def to_json_dict(self) -> dict:
-        return {"count": self.count, "violations": self.violations, "worst": self.worst}
-
 
 def fuzz_suite(config: FuzzConfig, steiner_grid: int | None = None) -> FuzzSummary:
     """Run the classical suite over the whole corpus and summarize."""
@@ -277,21 +274,6 @@ def run_sequence(
         row["slab_upper"] = slab_upper_bound(float(l), p) if kind == "rectangle" else ""
         rows.append(row)
     return rows
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_sequence_csv(rows: list[dict], stream) -> None:
-    """Emit a sequence table: comma separated, 17 significant digits."""
-    stream.write(",".join(SEQUENCE_COLUMNS) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(row[c]) for c in SEQUENCE_COLUMNS) + "\n")
 
 
 def write_sequence_svg(rows: list[dict], stream) -> None:

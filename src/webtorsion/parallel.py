@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, ViolationFound
+from .errors import GridTooCoarse, TooFine, ViolationFound
 from .geometry import (
     BodyMetrics,
     ConvexPolygon,
@@ -27,6 +27,8 @@ from .geometry import (
 
 DEFAULT_GRID = 512
 _MIN_GRID = 64
+# largest grid size: a profile holds about a dozen (m + 1)-float arrays
+_MAX_GRID = 1 << 20
 # relative tolerance of the Steiner checks, read at call time
 STEINER_REL_TOL = 1e-9
 
@@ -181,15 +183,6 @@ class ParallelProfile:
     def mu_f_total(self) -> float:
         return float(self.weighted[0])
 
-    def to_csv(self, stream) -> None:
-        """Write rows t,P,mu,mu_f with 17 significant digits."""
-        stream.write("t,P,mu,mu_f\n")
-        for i in range(len(self.t)):
-            stream.write(
-                f"{self.t[i]:.17g},{self.perimeters[i]:.17g},"
-                f"{self.areas[i]:.17g},{self.weighted[i]:.17g}\n"
-            )
-
 
 def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID) -> ParallelProfile:
     """Sample P, mu and mu_f on the uniform grid 0 = t_0 < ... < t_m = R.
@@ -202,6 +195,8 @@ def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID
     """
     if m < _MIN_GRID:
         raise GridTooCoarse(f"grid size {m} below minimum {_MIN_GRID}")
+    if m > _MAX_GRID:
+        raise TooFine(f"grid size {m} above maximum {_MAX_GRID}")
     body = metrics(polygon)
     times, P_j, mu_j, C_j, _ = _skeleton(polygon)
     ts = np.linspace(0.0, body.inradius, m + 1)
@@ -245,16 +240,6 @@ class SteinerReport:
     area_node: int
     quotient_slack: float
     quotient_node: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "perimeter_slack": self.perimeter_slack,
-            "perimeter_node": self.perimeter_node,
-            "area_slack": self.area_slack,
-            "area_node": self.area_node,
-            "quotient_slack": self.quotient_slack,
-            "quotient_node": self.quotient_node,
-        }
 
 
 def steiner_check(prof: ParallelProfile) -> SteinerReport:

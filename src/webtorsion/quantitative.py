@@ -27,6 +27,8 @@ from .geometry import BodyMetrics, ConvexPolygon, metrics
 QUANT_R_CONST = 1.0 / 6.0
 # fallback constant of the small-deficit branch; the binding value is sigma/8
 K_TILDE_FLOOR = 1.0 / 384.0
+# how k_tilde was obtained, reported next to it
+K_TILDE_BASIS = "min(sigma/8, 1/384), reconstructed constant"
 
 
 def K_of_p(p: float) -> float:
@@ -67,15 +69,6 @@ class EnclosingRectangle:
     short_side: float
     corners: np.ndarray
     symdiff_ratio: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "width_direction": list(self.width_direction),
-            "long_side": self.long_side,
-            "short_side": self.short_side,
-            "corners": [list(map(float, c)) for c in self.corners],
-            "symdiff_ratio": self.symdiff_ratio,
-        }
 
 
 def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None) -> EnclosingRectangle:
@@ -154,36 +147,6 @@ class DeficitReport:
         if self.quantitative_R_ok is not None:
             verdicts.append(self.quantitative_R_ok)
         return all(verdicts)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "T": self.torsion,
-            "F_p": self.F_p,
-            "c_p": self.c_p,
-            "deficit": self.deficit,
-            "width_diam_ratio": self.width_diam_ratio,
-            "K_p": self.K_p,
-            "theorem2_rhs": self.theorem2_rhs,
-            "theorem2_ok": self.theorem2_ok,
-            "inradius_deficit": self.inradius_deficit,
-        }
-        if self.rectangle is not None:
-            out.update(
-                {
-                    "rectangle": self.rectangle.to_json_dict(),
-                    "symdiff_ratio": self.symdiff_ratio,
-                    "sigma": self.sigma,
-                    "k_tilde": self.k_tilde,
-                    "k_tilde_basis": "min(sigma/8, 1/384), reconstructed constant",
-                    "branch": self.branch,
-                    "theorem3_rhs": self.theorem3_rhs,
-                    "theorem3_ok": self.theorem3_ok,
-                    "quantitative_R_rhs": self.quantitative_R_rhs,
-                    "quantitative_R_ok": self.quantitative_R_ok,
-                }
-            )
-        return out
 
 
 def theorem2_report(body: BodyMetrics, T: float, p: float) -> DeficitReport:

@@ -15,6 +15,9 @@ from .bounds import c_p, q_exponent
 from .errors import BadParameter
 from .geometry import ConvexPolygon, polygon_from_vertices
 
+# most vertices of a disk, or arc points of a stadium cap
+_MAX_POINTS = 1 << 16
+
 
 def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
     """Upper bound 2 c_p l^{-1} (l/2)^{(2p-1)/(p-1)} for the thinning cylinder.
@@ -46,16 +49,16 @@ def cylinder_perimeter(l: float, n: int, boundary_measure_of_c: float | None = N
 def torsion_p_ball(p: float, radius: float = 1.0, n: int = 2) -> float:
     """Exact T_p of the n-ball from the radial solution.
 
-    u(r) = (p-1)/p n^{-1/(p-1)} (R^{p/(p-1)} - r^{p/(p-1)}), so for n = 2
-    T = 2 pi (p-1)/p 2^{-1/(p-1)} R^{q+2} q / (2 (q+2)).
+    u(r) = (p-1)/p n^{-1/(p-1)} (R^q - r^q), q = p/(p-1), so
+    T = |S^{n-1}| (p-1)/p n^{-1/(p-1)} R^{q+n} q / (n (q+n)) with the sphere
+    area |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2); T = 4 pi / 45 at p = 2, R = 1, n = 3.
     """
-    if p <= 1.0 or radius <= 0.0:
-        raise BadParameter("need p > 1 and radius > 0")
-    if n != 2:
-        raise BadParameter("only the planar ball is supported")
+    if p <= 1.0 or radius <= 0.0 or n < 2:
+        raise BadParameter("need p > 1, radius > 0 and n >= 2")
     q = q_exponent(p)
-    coef = 2.0 * math.pi * (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
-    return coef * radius ** (q + 2.0) * q / (2.0 * (q + 2.0))
+    sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    coef = sphere * (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
+    return coef * radius ** (q + n) * q / (n * (q + n))
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,8 @@ def stadium(r: float, a: float, k: int = 256):
         raise BadParameter("need r > 0 and a >= 0")
     if k < 64:
         raise BadParameter(f"need at least 64 arc points per cap, got {k}")
+    if k > _MAX_POINTS:
+        raise BadParameter(f"need at most {_MAX_POINTS} arc points per cap, got {k}")
     up = np.linspace(-np.pi / 2.0, np.pi / 2.0, k)
     down = up[::-1]
     right = np.column_stack((a / 2.0 + r * np.cos(up), r * np.sin(up)))
@@ -179,6 +184,8 @@ def disk(radius: float = 1.0, k: int = 256):
         raise BadParameter("need radius > 0")
     if k < 64:
         raise BadParameter(f"need at least 64 vertices, got {k}")
+    if k > _MAX_POINTS:
+        raise BadParameter(f"need at most {_MAX_POINTS} vertices, got {k}")
     thetas = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
     pts = radius * np.column_stack((np.cos(thetas), np.sin(thetas)))
     poly = ConvexPolygon(pts)

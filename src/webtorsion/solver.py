@@ -400,9 +400,12 @@ class TorsionResult:
 
 def _load_vector(mesh: Mesh, weight: WeightProfile) -> np.ndarray:
     """Loads on the free nodes: f at each centroid, a third of the triangle's
-    share to each of its nodes."""
-    cent = mesh.nodes[mesh.triangles].mean(axis=1)
-    contrib = mesh.triangle_areas * weight(mesh.polygon.signed_distance(cent)) / 3.0
+    share to each of its nodes. A constant f needs no centroid depths."""
+    if weight.is_constant:
+        f = weight(0.0)
+    else:
+        f = weight(mesh.polygon.signed_distance(mesh.nodes[mesh.triangles].mean(axis=1)))
+    contrib = mesh.triangle_areas * f / 3.0
     # node by node in the order of the triangle list's columns
     F = np.bincount(mesh.triangles.T.ravel(), weights=np.tile(contrib, 3),
                     minlength=mesh.node_count)

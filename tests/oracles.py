@@ -34,11 +34,15 @@ def torsion_rectangle_series(a: float, b: float, terms: int = 400) -> float:
     return k_t / 4.0
 
 
-def torsion_disk_exact(p: float, radius: float = 1.0) -> float:
-    """Radial p-torsion of the disk by direct quadrature of the closed form."""
+def torsion_disk_exact(p: float, radius: float = 1.0, n: int = 2) -> float:
+    """Radial p-torsion of the n-ball by direct quadrature of the closed form.
+
+    The sphere areas are tabulated: 2 pi, 4 pi and 2 pi^2 for n = 2, 3, 4.
+    """
     q = p / (p - 1.0)
-    u = lambda r: (p - 1.0) / p * 2.0 ** (-1.0 / (p - 1.0)) * (radius**q - r**q)
-    val, _ = quad(lambda r: 2.0 * math.pi * r * u(r), 0.0, radius)
+    sphere = {2: 2.0 * math.pi, 3: 4.0 * math.pi, 4: 2.0 * math.pi**2}[n]
+    u = lambda r: (p - 1.0) / p * n ** (-1.0 / (p - 1.0)) * (radius**q - r**q)
+    val, _ = quad(lambda r: sphere * r ** (n - 1) * u(r), 0.0, radius)
     return val
 
 

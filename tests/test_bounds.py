@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -212,11 +213,11 @@ class TestFunctionals:
 
 def test_report_json_keys(unit_square):
     pr = profile(unit_square, W1, 128)
-    d = bound_report(pr, 2.0).to_json_dict()
+    d = asdict(bound_report(pr, 2.0))
     assert sorted(d) == [
-        "F_p_window", "c_p", "closed", "inf_weight", "integral", "p", "q", "refined",
+        "c_p", "closed", "f_p_window", "inf_weight", "integral", "p", "q", "refined",
     ]
-    lo, hi = d["F_p_window"]
+    lo, hi = d["f_p_window"]
     assert lo == pytest.approx(1.0 / 3.0)
     assert hi == pytest.approx(2.0 / 3.0)
 

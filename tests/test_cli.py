@@ -1,10 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import webtorsion.harness as harness
+from webtorsion.bounds import bound_report
 from webtorsion.cli import cli_dispatch
+from webtorsion.geometry import metrics
+from webtorsion.parallel import WeightProfile, profile, steiner_check
+from webtorsion.quantitative import theorem2_report, theorem3_report
+from webtorsion.shapes import from_descriptor
+from webtorsion.solver import richardson_T, solve_torsion, triangulate
 
 
 @pytest.fixture()
@@ -60,6 +67,27 @@ def test_malformed_descriptor_names_the_key(desc, key, tmp_path, capsys):
     assert err.startswith("error: ") and key in err
 
 
+def test_oversized_inputs_exit_one(square_file, tmp_path, monkeypatch, capsys):
+    import webtorsion.parallel as parallel_mod
+    import webtorsion.shapes as shapes_mod
+
+    monkeypatch.setattr(parallel_mod, "_MAX_GRID", 100)
+    monkeypatch.setattr(shapes_mod, "_MAX_POINTS", 100)
+    for argv in (
+        ["profile", square_file, "--grid", "101"],
+        ["bound", square_file, "--grid", "101"],
+        ["sequence", "--kind", "rectangle", "--l", "0.4", "--grid", "101"],
+        ["fuzz", "--n", "3", "--grid", "101"],
+    ):
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("error: grid size 101 above maximum 100")
+    path = tmp_path / "big.json"
+    for desc in ({"shape": "disk", "k": 101}, {"shape": "stadium", "r": 0.5, "a": 1, "k": 101}):
+        path.write_text(json.dumps(desc))
+        assert cli_dispatch(["geometry", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: need at most 100")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert cli_dispatch(["geometry", "/nonexistent/shape.json"]) == 1
 
@@ -112,6 +140,18 @@ def test_profile_command(square_file, tmp_path, capsys):
     assert steiner["perimeter_node"] == 1
 
 
+def test_profile_csv_roundtrip(square_file, unit_square, capsys):
+    assert cli_dispatch(["profile", square_file, "--grid", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,P,mu,mu_f"
+    assert len(lines) == 66
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert rows[0].tolist() == [0.0, 4.0, 1.0, 1.0]
+    # 17 significant digits read back to the very same doubles
+    pr = profile(unit_square, WeightProfile.constant(1.0), 64)
+    assert rows.T.tobytes() == np.stack([pr.t, pr.perimeters, pr.areas, pr.weighted]).tobytes()
+
+
 def test_bound_command(square_file, capsys):
     assert cli_dispatch(["bound", square_file, "--p", "2", "--grid", "128"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -160,6 +200,16 @@ def test_sequence_exit_follows_every_verdict(rect_file, capsys, monkeypatch):
     row = capsys.readouterr().out.splitlines()[1]
     assert ",small-deficit,true,false," in row
     assert cli_dispatch(["deficit", rect_file, "--h", "0.02"]) == 2
+
+
+def test_sequence_csv_deterministic(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
+    argv = ["sequence", "--kind", "rectangle", "--l", "0.4", "--grid", "128"]
+    assert cli_dispatch(argv) == 0
+    first = capsys.readouterr().out
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == first
+    assert first.splitlines()[0].startswith("kind,l,p,area,perimeter")
 
 
 def test_sequence_command(tmp_path, capsys):
@@ -220,3 +270,142 @@ def test_planted_violation_flips_fuzz_exit(capsys, monkeypatch):
     assert code == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["violations"]
+
+
+# Byte-level output: the expected bytes are rendered here from library values,
+# JSON with sorted keys and two-space indent, CSV cells with 17 significant
+# digits and true/false for verdicts.
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+@pytest.fixture()
+def quad_file(tmp_path):
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [2, 0], [1.5, 1], [0.2, 0.8]]}))
+    return str(path)
+
+
+def _polygon(path):
+    with open(path, encoding="utf-8") as fh:
+        return from_descriptor(json.load(fh))[0]
+
+
+def test_geometry_bytes(quad_file, capsys):
+    poly = _polygon(quad_file)
+    m = metrics(poly)
+    expected = {
+        "area": m.area, "perimeter": m.perimeter, "diameter": m.diameter, "width": m.width,
+        "width_direction": list(m.width_direction), "inradius": m.inradius,
+        "incenter": list(m.incenter), "vertices": len(poly.vertices),
+    }
+    assert cli_dispatch(["geometry", quad_file]) == 0
+    assert capsys.readouterr().out == _json_text(expected)
+
+
+def test_bound_out_bytes(quad_file, tmp_path, capsys):
+    out = tmp_path / "bound.json"
+    argv = ["bound", quad_file, "--p", "3", "--weight", "exp:1", "--grid", "64", "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == ""
+    b = bound_report(profile(_polygon(quad_file), WeightProfile.exponential(1.0, 1.0), 64), 3.0)
+    expected = {
+        "p": b.p, "q": b.q, "c_p": b.c_p, "closed": b.closed, "refined": b.refined,
+        "integral": b.integral, "inf_weight": b.inf_weight, "F_p_window": list(b.f_p_window),
+    }
+    assert out.read_text() == _json_text(expected)
+
+
+def test_profile_out_bytes(quad_file, tmp_path, capsys):
+    out = tmp_path / "prof.csv"
+    argv = ["profile", quad_file, "--weight", "linear:0.5", "--grid", "64", "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    pr = profile(_polygon(quad_file), WeightProfile.truncated_linear(1.0, 0.5), 64)
+    rows = zip(*(a.tolist() for a in (pr.t, pr.perimeters, pr.areas, pr.weighted)))
+    assert out.read_text() == _csv_text(["t", "P", "mu", "mu_f"], rows)
+    s = steiner_check(pr)
+    expected = {
+        "perimeter_slack": s.perimeter_slack, "perimeter_node": s.perimeter_node,
+        "area_slack": s.area_slack, "area_node": s.area_node,
+        "quotient_slack": s.quotient_slack, "quotient_node": s.quotient_node,
+    }
+    assert capsys.readouterr().out == _json_text(expected)
+
+
+def test_solve_out_bytes(square_file, tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    assert cli_dispatch(["solve", square_file, "--h", "0.25", "--p", "3", "--out", str(out)]) == 0
+    mesh = triangulate(_polygon(square_file), 0.25)
+    res = solve_torsion(mesh, WeightProfile.constant(1.0), 3.0, 1e-10)
+    rows = np.column_stack((mesh.nodes, res.u)).tolist()
+    assert out.read_text() == _csv_text(["x", "y", "u"], rows)
+    expected = {
+        "T": res.torsion, "J": res.energy, "iters": res.iterations, "grad_norm": res.grad_norm,
+        "h": 0.25, "p": 3.0, "nodes": mesh.node_count,
+    }
+    assert capsys.readouterr().out == _json_text(expected)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_deficit_bytes(p, rect_file, capsys):
+    poly = _polygon(rect_file)
+    body = metrics(poly)
+    h = 0.02
+    code = cli_dispatch(["deficit", rect_file, "--p", str(p), "--h", str(h)])
+    rich = richardson_T(poly, WeightProfile.constant(1.0), p, [4 * h, 2 * h, h])
+    rep = theorem3_report(poly, rich.torsion, body) if p == 2.0 else theorem2_report(body, rich.torsion, p)
+    expected = {
+        "p": rep.p, "T": rep.torsion, "F_p": rep.F_p, "c_p": rep.c_p, "deficit": rep.deficit,
+        "width_diam_ratio": rep.width_diam_ratio, "K_p": rep.K_p,
+        "theorem2_rhs": rep.theorem2_rhs, "theorem2_ok": rep.theorem2_ok,
+        "inradius_deficit": rep.inradius_deficit, "T_error": rich.error,
+    }
+    if p == 2.0:
+        r = rep.rectangle
+        expected.update({
+            "rectangle": {
+                "width_direction": list(r.width_direction), "long_side": r.long_side,
+                "short_side": r.short_side, "corners": r.corners.tolist(),
+                "symdiff_ratio": r.symdiff_ratio,
+            },
+            "symdiff_ratio": rep.symdiff_ratio, "sigma": rep.sigma, "k_tilde": rep.k_tilde,
+            "k_tilde_basis": "min(sigma/8, 1/384), reconstructed constant",
+            "branch": rep.branch, "theorem3_rhs": rep.theorem3_rhs,
+            "theorem3_ok": rep.theorem3_ok, "quantitative_R_rhs": rep.quantitative_R_rhs,
+            "quantitative_R_ok": rep.quantitative_R_ok,
+        })
+    assert code == (0 if rep.all_ok else 2)
+    assert capsys.readouterr().out == _json_text(expected)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_sequence_bytes(p, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
+    argv = ["sequence", "--kind", "stadium", "--l", "0.4,0.2", "--p", str(p), "--grid", "64"]
+    code = cli_dispatch(argv)
+    rows = harness.run_sequence("stadium", (0.4, 0.2), p, 64)
+    columns = harness.SEQUENCE_COLUMNS
+    assert capsys.readouterr().out == _csv_text(columns, ([r[c] for c in columns] for r in rows))
+    assert code == 0
+
+
+@pytest.mark.parametrize("grid", [None, 64])
+def test_fuzz_out_bytes(grid, tmp_path, capsys):
+    out = tmp_path / "fuzz.json"
+    argv = ["fuzz", "--n", "25", "--seed", "11", "--out", str(out)]
+    assert cli_dispatch(argv + ([] if grid is None else ["--grid", str(grid)])) == 0
+    assert capsys.readouterr().out == ""
+    s = harness.fuzz_suite(harness.FuzzConfig(seed=11, count=25), grid)
+    expected = {"count": s.count, "violations": s.violations, "worst": s.worst}
+    assert out.read_text() == _json_text(expected)

@@ -14,7 +14,6 @@ from webtorsion.harness import (
     fuzz_suite,
     random_convex_body,
     run_sequence,
-    write_sequence_csv,
     write_sequence_svg,
 )
 
@@ -145,17 +144,6 @@ class TestSequences:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             run_sequence("pentagon", (0.2,), 2.0)
-
-    def test_csv_deterministic(self, monkeypatch):
-        monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
-        rows = run_sequence("rectangle", (0.4,), 2.0, grid=128)
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        write_sequence_csv(rows, buf1)
-        rows2 = run_sequence("rectangle", (0.4,), 2.0, grid=128)
-        write_sequence_csv(rows2, buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        header = buf1.getvalue().splitlines()[0]
-        assert header.startswith("kind,l,p,area,perimeter")
 
     def test_svg_is_static(self, monkeypatch):
         monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)

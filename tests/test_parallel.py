@@ -1,11 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 from oracles import MU_F_SQUARE_LINEAR, profile_deque, steiner_quotient_loop
-from webtorsion.errors import GridTooCoarse, ViolationFound
+import webtorsion.parallel as parallel_mod
+from webtorsion.errors import GridTooCoarse, TooFine, ViolationFound
 from webtorsion.geometry import metrics, scale
 from webtorsion.parallel import (
     ParallelProfile,
@@ -123,6 +123,15 @@ class TestProfile:
         with pytest.raises(GridTooCoarse):
             profile(unit_square, W1, 63)
 
+    def test_grid_too_fine(self, unit_square, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_MAX_GRID", 100)
+        assert len(profile(unit_square, W1, 100).t) == 101
+        # rejected before the body is measured or any grid array is made
+        monkeypatch.setattr(parallel_mod, "metrics", None)
+        monkeypatch.setattr(parallel_mod, "np", None)
+        with pytest.raises(TooFine):
+            profile(unit_square, W1, 101)
+
     def test_stadium_perimeter_is_steiner_exact(self):
         poly, rec = stadium(0.5, 2.0, 256)
         pr = profile(poly, W1, 256)
@@ -198,16 +207,6 @@ class TestProfile:
             dt = pr.t[1] - pr.t[0]
             tol = 1e-6 * m.area + 0.55 * dt * pr.perimeters[-2]
             assert abs(est - m.area) <= tol
-
-    def test_csv_roundtrip(self, unit_square):
-        pr = profile(unit_square, W1, 64)
-        buf = io.StringIO()
-        pr.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,P,mu,mu_f"
-        assert len(lines) == 66
-        row = [float(x) for x in lines[1].split(",")]
-        assert row == [0.0, 4.0, 1.0, 1.0]
 
 
 class TestSteiner:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -193,8 +193,8 @@ class TestTheorem3:
 
     def test_json_payload(self, unit_square):
         rep = theorem3_report(unit_square, T_UNIT_SQUARE)
-        d = rep.to_json_dict()
-        for key in ("p", "T", "F_p", "c_p", "deficit", "width_diam_ratio", "K_p",
+        d = asdict(rep)
+        for key in ("p", "torsion", "F_p", "c_p", "deficit", "width_diam_ratio", "K_p",
                     "theorem2_rhs", "theorem2_ok", "inradius_deficit", "rectangle",
                     "symdiff_ratio", "sigma", "k_tilde", "branch", "theorem3_rhs",
                     "theorem3_ok"):

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import T_DISK_P2, T_DISK_P3, torsion_disk_exact
 from webtorsion.bounds import c_p, q_exponent
+import webtorsion.shapes as shapes_mod
 from webtorsion.errors import BadParameter
 from webtorsion.geometry import metrics
 from webtorsion.shapes import (
@@ -153,6 +154,26 @@ class TestDisk:
             assert torsion_p_ball(p) == pytest.approx(torsion_disk_exact(p), rel=1e-9)
         # scaling R^{q+2}
         assert torsion_p_ball(2.0, 2.0) == pytest.approx(16.0 * T_DISK_P2, rel=1e-12)
+
+    def test_torsion_of_higher_balls(self):
+        # the 3-ball at p = 2: u = (1 - r^2)/6, T = 4 pi / 45
+        assert torsion_p_ball(2.0, 1.0, 3) == pytest.approx(4.0 * math.pi / 45.0, rel=1e-15)
+        for n in (3, 4):
+            for p in (1.2, 1.5, 2.0, 3.0, 7.0):
+                for R in (1.0, 0.7):
+                    assert torsion_p_ball(p, R, n) == pytest.approx(torsion_disk_exact(p, R, n), rel=1e-10)
+        with pytest.raises(BadParameter):
+            torsion_p_ball(2.0, 1.0, 1)
+
+    def test_point_count_capped(self, monkeypatch):
+        monkeypatch.setattr(shapes_mod, "_MAX_POINTS", 100)
+        assert len(disk(1.0, 100)[0].vertices) == 100
+        # rejected before any point array is made
+        monkeypatch.setattr(shapes_mod, "np", None)
+        with pytest.raises(BadParameter):
+            disk(1.0, 101)
+        with pytest.raises(BadParameter):
+            stadium(1.0, 1.0, 101)
 
     def test_polygonalization_budgets(self):
         for k, budget in ((256, 1e-3), (2048, 1e-5)):

@@ -248,9 +248,16 @@ class TestDiscretization:
 
     def test_load_vector_matches_add_at_bitwise(self):
         mesh = triangulate(disk(1.0, 256)[0], 0.05)
-        for weight in (W1, WeightProfile.exponential(1.0, 1.0)):
+        for weight in (W1, WeightProfile.constant(2.5), WeightProfile.truncated_linear(1.0, 0.0),
+                       WeightProfile.exponential(1.0, 0.0), WeightProfile.exponential(1.0, 1.0)):
             got = solver_mod._load_vector(mesh, weight)
             assert got.tobytes() == load_vector_add_at(mesh, weight).tobytes()
+
+    def test_constant_load_needs_no_depths(self, unit_square, monkeypatch):
+        mesh = triangulate(unit_square, 0.25)
+        monkeypatch.setattr(type(unit_square), "signed_distance", None)
+        for weight in (W1, WeightProfile.truncated_linear(2.0, 0.0)):
+            assert solver_mod._load_vector(mesh, weight).shape == (mesh.node_count - mesh.n_boundary,)
 
     def test_one_factorization_per_mesh(self, unit_square, monkeypatch):
         calls = []
@@ -382,7 +389,7 @@ class TestSolve:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="near p = 1.1 the energy stop accepts a stagnated field (ROADMAP item 4)",
+        reason="near p = 1.1 the energy stop accepts a stagnated field (ROADMAP item 7)",
     )
     def test_energy_identity_near_p_min(self):
         # measured: the identity is off by 1.3e-4 to 6.2e-4, depending on
