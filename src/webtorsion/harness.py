@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .bounds import bound_report
 from .errors import Degenerate, NonConvex, RejectionOverflow, ViolationFound
 from .geometry import ConvexPolygon, metrics, polygon_from_vertices
-from .parallel import DEFAULT_GRID, WeightProfile, profile, steiner_check
+from .parallel import DEFAULT_GRID, WeightProfile, _check_grid, profile, steiner_check
 from .quantitative import theorem2_report, theorem3_report
 from .shapes import isosceles_triangle, rectangle, slab_upper_bound, stadium_of_width
 from .solver import richardson_T
@@ -188,7 +188,12 @@ class FuzzSummary:
 
 
 def fuzz_suite(config: FuzzConfig, steiner_grid: int | None = None) -> FuzzSummary:
-    """Run the classical suite over the whole corpus and summarize."""
+    """Run the classical suite over the whole corpus and summarize.
+
+    A steiner_grid outside profile's limits raises before any body is built.
+    """
+    if steiner_grid is not None:
+        _check_grid(steiner_grid)
     worst = {}
     violations = []
     for i in range(config.count):

@@ -184,6 +184,14 @@ class ParallelProfile:
         return float(self.weighted[0])
 
 
+def _check_grid(m: int) -> None:
+    """Raise GridTooCoarse below _MIN_GRID and TooFine above _MAX_GRID."""
+    if m < _MIN_GRID:
+        raise GridTooCoarse(f"grid size {m} below minimum {_MIN_GRID}")
+    if m > _MAX_GRID:
+        raise TooFine(f"grid size {m} above maximum {_MAX_GRID}")
+
+
 def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID) -> ParallelProfile:
     """Sample P, mu and mu_f on the uniform grid 0 = t_0 < ... < t_m = R.
 
@@ -193,10 +201,7 @@ def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID
     exact areas, the others sum f(midpoint) times the exact area increment of
     each subinterval.
     """
-    if m < _MIN_GRID:
-        raise GridTooCoarse(f"grid size {m} below minimum {_MIN_GRID}")
-    if m > _MAX_GRID:
-        raise TooFine(f"grid size {m} above maximum {_MAX_GRID}")
+    _check_grid(m)
     body = metrics(polygon)
     times, P_j, mu_j, C_j, _ = _skeleton(polygon)
     ts = np.linspace(0.0, body.inradius, m + 1)

@@ -4,12 +4,15 @@ The torsion energy J(u) = (1/p) int |grad u|^p - int f u is minimized over
 piecewise-linear fields vanishing on the boundary. A mesh lists its
 n_boundary boundary nodes first, so the free (interior) nodes are the slice
 nodes[n_boundary:] and every field is solved for on that slice. The free
-nodes come in a nested-dissection elimination order, and the stiffness
+nodes of every mesh come in one nested-dissection elimination order,
+computed from the mesh's edges (_dissection_order), and the stiffness
 matrix is factorized in that order. At p = 2 the linear system is solved
-directly; otherwise a preconditioned nonlinear conjugate gradient iteration
-is used, warm-started from the scaled linear solution. The iteration
-carries the slopes G x and the load term F . x of its iterate. Its line
-search is a safeguarded Newton search on the convex
+directly, or, on a refined mesh with more than _MG_MIN_FREE free nodes, by
+conjugate gradients preconditioned with one multigrid V-cycle over the
+mesh's ancestors (_vcycle_pcg). Otherwise a preconditioned nonlinear
+conjugate gradient iteration is used, warm-started from the scaled linear
+solution. The iteration carries the slopes G x and the load term F . x of
+its iterate. Its line search is a safeguarded Newton search on the convex
 phi(a) = J(x + a d): with G d and F . d formed once per search direction, a
 trial at step a has slopes G x + a G d and load term F . x + a F . d, and
 phi'(a) and phi''(a) follow from those slopes per triangle, so a trial needs
@@ -26,11 +29,17 @@ F . x are recomputed from the iterate and the stop must hold for the
 recomputed energy too, so a result's energy and gradient are those of its
 field. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
 and sum area |grad u|^p for the iteration, its warm start and
-rayleigh_check. A mesh builds its gradient operator, stiffness matrix and
-LU once, on first use, and the transpose of the gradient operator on its
-first nonlinear solve; every solve on it, for any p and weight, shares
-them. richardson_T keeps the meshes of its last ladder, so successive
-calls on the same polygon share them too.
+rayleigh_check. A mesh builds its gradient operator, stiffness matrix, LU
+and smoother once, on first use, and the transpose of the gradient operator
+on its first nonlinear solve; every solve on it, for any p and weight,
+shares them.
+
+richardson_T builds nested ladders: it triangulates its coarsest h only,
+and each finer level splits every triangle of the one before into four
+(_refined). The P1 spaces are then nested, and each refined mesh holds its
+parent and the prolongation between them, which the V-cycle uses. It keeps
+the meshes of its last ladder, so successive calls on the same polygon
+share them too.
 
 triangulate places boundary subdivision points and an interior hexagonal
 lattice. The lattice triangles whose three points were kept lie deep enough
@@ -41,7 +50,7 @@ not cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +64,8 @@ from .parallel import WeightProfile
 
 # supported exponent range of the solver and of the CLI's --p options
 P_MIN, P_MAX = 1.1, 10.0
-# candidate points (boundary plus the lattice rows across the polygon) per mesh
+# nodes per mesh: triangulate's candidate points (boundary plus the lattice
+# rows across the polygon), or a refined mesh's nodes
 _MAX_NODES = 2_000_000
 _MAX_ITERS = 100_000
 # trial steps per line search, the first being the Newton step from a = 0
@@ -64,6 +74,14 @@ _MAX_TRIAL_STEPS = 60
 _EPS_REG = 1e-10
 # free nodes per leaf box of the nested-dissection order, at most on average
 _LEAF = 32
+# p = 2 solves on a refined mesh with more free nodes than this run V-cycle
+# CG; smaller meshes, and every V-cycle's coarsest level, use the LU
+_MG_MIN_FREE = 1 << 13
+# V-cycle CG: relative residual to reach, and the iteration cap
+_CG_RTOL = 1e-12
+_MAX_CG_ITERS = 1_000
+# power steps of the smoother's lambda_max estimate
+_POWER_STEPS = 10
 
 # richardson_T's last ladder: its polygon and {h: Mesh} for that call's h values
 _ladder_polygon = None
@@ -75,9 +93,11 @@ class Mesh:
     """Immutable triangle mesh of a convex polygon and its P1 operators.
 
     The first n_boundary nodes lie on the boundary; the rest are the free
-    nodes, in elimination order. The areas, the gradient operator and the
-    factorized stiffness matrix are built on first use and cached, so every
-    (weight, p) solve shares them.
+    nodes, in elimination order. The areas, the gradient operator, the
+    stiffness matrix and its LU are built on first use and cached, so every
+    (weight, p) solve shares them. A mesh made by _refined holds the mesh it
+    refines as parent and the prolongation P from the parent's free nodes to
+    its own; a triangulated mesh holds None in both.
     """
 
     polygon: ConvexPolygon
@@ -85,6 +105,8 @@ class Mesh:
     triangles: np.ndarray
     n_boundary: int
     h: float
+    parent: Mesh | None = field(default=None, repr=False)
+    prolongation: sp.csr_matrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -105,20 +127,19 @@ class Mesh:
     @cached_property
     def _gradient(self) -> sp.csr_matrix:
         """G with (G x)[t] and (G x)[m + t] the x- and y-slopes in triangle t
-        of the P1 field that is x on the free nodes and 0 on the boundary."""
+        of the P1 field that is x on the free nodes and 0 on the boundary.
+        Row t holds triangle t's free vertices in its own vertex order."""
         v = self.nodes[self.triangles]
         x, y = v[:, :, 0], v[:, :, 1]
         area2 = 2.0 * self.triangle_areas[:, None]
         gx = (y[:, [1, 2, 0]] - y[:, [2, 0, 1]]) / area2
         gy = (x[:, [2, 0, 1]] - x[:, [1, 2, 0]]) / area2
-        cols = self.triangles.ravel() - self.n_boundary
+        cols = self.triangles - self.n_boundary
         keep = cols >= 0
-        m = len(self.triangles)
-        rows = np.repeat(np.arange(m), 3)[keep]
+        indptr = np.concatenate(([0], np.cumsum(np.tile(np.count_nonzero(keep, axis=1), 2))))
         return sp.csr_matrix(
-            (np.concatenate([gx.ravel()[keep], gy.ravel()[keep]]),
-             (np.concatenate([rows, rows + m]), np.tile(cols[keep], 2))),
-            shape=(2 * m, self.node_count - self.n_boundary),
+            (np.concatenate([gx[keep], gy[keep]]), np.tile(cols[keep], 2), indptr),
+            shape=(2 * len(self.triangles), self.node_count - self.n_boundary),
         )
 
     @cached_property
@@ -128,23 +149,45 @@ class Mesh:
         return self._gradient.T.tocsr()
 
     @cached_property
+    def _stiffness(self) -> sp.csc_matrix:
+        """K_ff = G^T diag(area, area) G, shared by the LU and the V-cycle."""
+        G = self._gradient
+        return (G.T @ sp.diags(np.tile(self.triangle_areas, 2)) @ G).tocsc()
+
+    @cached_property
     def _stiffness_lu(self):
-        """K_ff = G^T diag(area, area) G and its sparse LU, one per mesh.
+        """K_ff and its sparse LU, one per mesh.
 
         K_ff is symmetric positive definite, so the LU needs no pivoting.
         The free nodes come in nested-dissection order, and the LU keeps
         that order: it permutes no column.
         """
-        G = self._gradient
-        K = (G.T @ sp.diags(np.tile(self.triangle_areas, 2)) @ G).tocsc()
+        K = self._stiffness
         return K, splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
+
+    @cached_property
+    def _jacobi(self) -> np.ndarray:
+        """omega / diag(K_ff), the damped Jacobi smoother of the V-cycle, with
+        omega = 1.3 / lambda, lambda the Rayleigh quotient of
+        D^-1/2 K_ff D^-1/2 after _POWER_STEPS power steps from a seeded
+        start. lambda lies below lambda_max(D^-1 K_ff): 0.79 to 0.93 of it on
+        the unit square and disk(1, 256) ladders, so omega lambda_max stays
+        near 1.4 to 1.65, below the 2 at which the smoother stops converging."""
+        K = self._stiffness
+        r = 1.0 / np.sqrt(K.diagonal())
+        v = np.random.default_rng(0).standard_normal(K.shape[0])
+        for _ in range(_POWER_STEPS):
+            v /= np.linalg.norm(v)
+            w = r * (K @ (r * v))
+            lam, v = float(v @ w), w
+        return (1.3 / lam) * r * r
 
 
 def _mesh_points(polygon: ConvexPolygon, h: float):
     """triangulate's points before smoothing, boundary subdivision first, with
-    n_boundary and the lattice they came from. The kept lattice points, the
-    free nodes, follow in the elimination order of _dissection_order.
+    n_boundary and the lattice they came from. The kept lattice points follow
+    row by row.
 
     The lattice is (x_origin, y_origin, first, stop, node): row r lies at
     y_origin + r s sqrt(3)/2 and holds the columns k in [first[r], stop[r]),
@@ -191,60 +234,87 @@ def _mesh_points(polygon: ConvexPolygon, h: float):
     row_x = [xs[r % 2][first[r]:stop[r]] for r in range(len(ys))]
     lattice = np.column_stack((np.concatenate(row_x), np.repeat(ys, stop - first)))
     n_bnd = len(boundary_pts)
-    # each lattice point's row r and half-column 2 k + (r mod 2)
-    counts = stop - first
-    row = np.repeat(np.arange(len(ys)), counts)
-    start = np.cumsum(counts) - counts  # first entry of each row
-    col = 2 * (np.arange(len(row)) - np.repeat(start - first, counts)) + row % 2
     kept = np.flatnonzero(polygon.signed_distance(lattice) >= clearance)
-    kept = kept[_dissection_order(col[kept], row[kept])]
     node = np.full(len(lattice), -1)
     node[kept] = n_bnd + np.arange(len(kept))
     pts = np.vstack([boundary_pts, lattice[kept]])
     return pts, n_bnd, (lo[0], lo[1], first, stop, node)
 
 
-def _dissection_order(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Nested-dissection order of the lattice points at half-columns col and
-    rows row, as a permutation of their indices.
+def _dissection_order(points: np.ndarray, edges) -> np.ndarray:
+    """Nested-dissection order of the nodes at points, joined by edges (two
+    arrays of indices into points), as a permutation of their indices.
 
     Their bounding box is bisected at its midpoint along its longer side
     D = ceil(log2(n / _LEAF)) times. The boxes of one level are congruent, so
-    the axis of each split is global and a point's path through the boxes is
-    a D-bit code. A point within one lattice step above a split (one step is
-    2 half-columns or 1 row) belongs to that split's separator: shifted one
-    step down, its code changes first at that split's bit. Separators come
-    after both halves they separate (post-order), and the points of one leaf
-    box or one separator keep their order. At most _LEAF points keep theirs.
+    the axis of each split is global and a node's path through the boxes is
+    a D-bit code. An edge whose ends' codes first differ at some split
+    crosses that split's line, and its end nearer the line (the first end
+    on a tie) belongs to that split's separator; a node on several
+    separators belongs to the coarsest. Separators come after both halves
+    they separate (post-order), and the nodes of one leaf box or one
+    separator keep their order. At most _LEAF nodes keep theirs.
     """
-    n = len(col)
+    n = len(points)
     if n <= _LEAF:
         return np.arange(n)
     depth = math.ceil(math.log2(n / _LEAF))
-    q = (col - col.min(), row - row.min())
-    span = [int(q[0].max()), int(q[1].max())]
-    side = [0.5 * span[0], math.sqrt(3.0) / 2.0 * span[1]]  # in lattice steps
-    axes = []
+    lo = points.min(axis=0)
+    side = points.max(axis=0) - lo
+    axes, halved = [], side.tolist()
     for _ in range(depth):
-        axes.append(int(side[1] > side[0]))
-        side[axes[-1]] /= 2.0
-    # code: the D-bit path; moved: the bits that change one step down
+        axes.append(int(halved[1] > halved[0]))
+        halved[axes[-1]] /= 2.0
+    # per axis: the splits along it, and each node's box index among the
+    # 2^splits boxes; the code interleaves their bits in level order
+    splits = [axes.count(a) for a in (0, 1)]
+    rank = [axes[:lvl].count(a) for lvl, a in enumerate(axes)]  # earlier splits on its axis
+    box = np.zeros((2, n), dtype=np.int64)
     code = np.zeros(n, dtype=np.int64)
-    moved = np.zeros(n, dtype=np.int64)
-    for a, step in ((0, 2), (1, 1)):
-        levels = [lvl for lvl, b in enumerate(axes) if b == a]
-        # for each coordinate k along axis a, its box's bits at those levels
-        k = np.arange(span[a] + 1)
-        box = np.minimum((k << len(levels)) // max(span[a], 1), (1 << len(levels)) - 1)
-        bits = np.zeros(len(k), dtype=np.int64)
-        for j, lvl in enumerate(levels):
-            bits |= ((box >> (len(levels) - 1 - j)) & 1) << (depth - 1 - lvl)
-        code |= bits[q[a]]
-        moved |= (bits ^ bits[np.maximum(k - step, 0)])[q[a]]
-    # a separator point takes the key of its box's last leaf, then sorts
-    # after the deeper separators that share it; tail = D - its level
-    tail = np.frexp(moved)[1]  # bit length, 0 in a leaf
+    for lvl, a in enumerate(axes):
+        if rank[lvl] == 0:
+            cells = 1 << splits[a]
+            box[a] = np.minimum((points[:, a] - lo[a]) / side[a] * cells, cells - 1)
+        code |= ((box[a] >> (splits[a] - 1 - rank[lvl])) & 1) << (depth - 1 - lvl)
+    i, j = edges
+    differ = code[i] ^ code[j]
+    cut = differ > 0
+    i, j, differ = i[cut], j[cut], differ[cut]
+    bit = np.frexp(differ)[1] - 1  # the first split the edge crosses, from the low end
+    lvl = depth - 1 - bit
+    a = np.array(axes)[lvl]
+    # the split's line: its upper half starts at the larger (rank + 1)-bit box prefix
+    prefix_bits = np.array(rank)[lvl] + 1
+    upper = np.maximum(box[a, i], box[a, j]) >> (np.array(splits)[a] - prefix_bits)
+    line = lo[a] + side[a] * (upper / 2.0 ** prefix_bits)
+    near_i = np.abs(points[i, a] - line) <= np.abs(points[j, a] - line)
+    sep = np.where(near_i, i, j)
+    tail = np.zeros(n, dtype=np.int64)  # D - the separator's level, 0 in a leaf
+    np.maximum.at(tail, sep, bit + 1)
+    # a separator node takes the key of its box's last leaf, then sorts
+    # after the deeper separators that share it
     return np.argsort((code | ((1 << tail) - 1)) * (depth + 1) + tail, kind="stable")
+
+
+def _free_edges(triangles: np.ndarray, n_bnd: int):
+    """The edges between two free nodes, once each, as two arrays of free-node
+    indices. Such an edge is interior, so it lies in two triangles, and the
+    triangles' common orientation runs it once from its lower end."""
+    i = triangles - n_bnd
+    j = i[:, [1, 2, 0]]
+    keep = (i >= 0) & (j > i)
+    return i[keep], j[keep]
+
+
+def _numbered(nodes: np.ndarray, triangles: np.ndarray, n_bnd: int):
+    """nodes and triangles with the free nodes in _dissection_order, and that
+    order as indices into the free nodes given."""
+    order = _dissection_order(nodes[n_bnd:], _free_edges(triangles, n_bnd))
+    new = np.empty(len(nodes), dtype=np.int64)
+    new[:n_bnd] = np.arange(n_bnd)
+    new[n_bnd + order] = np.arange(n_bnd, len(nodes))
+    nodes = np.vstack([nodes[:n_bnd], nodes[n_bnd:][order]])
+    return nodes, np.ascontiguousarray(new[triangles], dtype=np.int32), order
 
 
 def _delaunay_triangles(pts: np.ndarray, h: float, lattice) -> np.ndarray:
@@ -371,14 +441,62 @@ def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
     scale2 = h * h
     simplices = simplices[np.abs(cross) > 1e-12 * scale2]
 
-    mesh = Mesh(
-        polygon=polygon, nodes=pts,
-        triangles=np.ascontiguousarray(simplices, dtype=np.int32),
-        n_boundary=n_bnd, h=h,
-    )
+    pts, simplices, _ = _numbered(pts, simplices, n_bnd)
+    mesh = Mesh(polygon=polygon, nodes=pts, triangles=simplices, n_boundary=n_bnd, h=h)
     if abs(float(np.sum(mesh.triangle_areas)) - body.area) > 1e-9 * body.area:
         raise TooFine("triangulation does not tile the polygon")  # pragma: no cover
     return mesh
+
+
+def _refined(coarse: Mesh) -> Mesh:
+    """coarse with every triangle split in four at its edge midpoints.
+
+    Triangle t = (a, b, c) becomes 4 t ... 4 t + 3: (a, m_ab, m_ca),
+    (m_ab, b, m_bc), (m_ca, m_bc, c) and (m_ab, m_bc, m_ca), with the
+    parent's orientation. The midpoint of a boundary edge (an edge of one
+    triangle) lies on a polygon edge and is a boundary node: the boundary
+    nodes are coarse's, then those midpoints. The free nodes, coarse's and
+    the other midpoints, follow in _dissection_order. The P1 spaces are
+    nested: the prolongation P is 1 at a kept free node and 1/2 from each
+    free end of a split edge. Raises TooFine when the N + E nodes (N nodes
+    and E edges of coarse) exceed _MAX_NODES.
+    """
+    N, nb = coarse.node_count, coarse.n_boundary
+    pairs = np.sort(coarse.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).astype(np.int64), axis=1)
+    keys, edge_of, count = np.unique(pairs[:, 0] * N + pairs[:, 1], return_inverse=True,
+                                     return_counts=True)
+    if N + len(keys) > _MAX_NODES:
+        raise TooFine(f"{N + len(keys)} refined nodes exceed the {_MAX_NODES} budget")
+    ends = np.column_stack((keys // N, keys % N))
+    on_bnd = count == 1
+    nbf = nb + int(on_bnd.sum())
+    # node numbers before the free nodes are ordered: coarse boundary nodes,
+    # boundary midpoints, coarse free nodes, interior midpoints
+    mid = np.empty(len(keys), dtype=np.int64)
+    mid[on_bnd] = nb + np.arange(nbf - nb)
+    mid[~on_bnd] = nbf + (N - nb) + np.arange(len(keys) - (nbf - nb))
+    old = np.concatenate((np.arange(nb), nbf + np.arange(N - nb)))
+    halves = 0.5 * (coarse.nodes[ends[:, 0]] + coarse.nodes[ends[:, 1]])
+    nodes = np.vstack((coarse.nodes[:nb], halves[on_bnd], coarse.nodes[nb:], halves[~on_bnd]))
+    a, b, c = old[coarse.triangles].T
+    m_ab, m_bc, m_ca = mid[edge_of].reshape(-1, 3).T
+    triangles = np.stack((np.column_stack((a, m_ab, m_ca)), np.column_stack((m_ab, b, m_bc)),
+                          np.column_stack((m_ca, m_bc, c)), np.column_stack((m_ab, m_bc, m_ca))),
+                         axis=1).reshape(-1, 3)
+    # P on the free nodes in that numbering: 1 at each kept node, 1/2 from
+    # each free end of an interior midpoint
+    kept = np.arange(N - nb)
+    free_end = (ends[~on_bnd] - nb).ravel()
+    live = free_end >= 0
+    P = sp.csr_matrix(
+        (np.concatenate((np.ones(len(kept)), np.full(np.count_nonzero(live), 0.5))),
+         (np.concatenate((kept, len(kept) + (np.arange(len(free_end)) // 2)[live])),
+          np.concatenate((kept, free_end[live])))),
+        shape=(len(nodes) - nbf, len(kept)),
+    )
+    nodes, triangles, order = _numbered(nodes, triangles, nbf)
+    return Mesh(polygon=coarse.polygon, nodes=nodes, triangles=triangles, n_boundary=nbf,
+                h=0.5 * coarse.h, parent=coarse, prolongation=P[order])
 
 
 @dataclass(frozen=True)
@@ -523,6 +641,65 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     raise NoConvergence(f"energy minimization did not settle in {_MAX_ITERS} iterations")
 
 
+def _vcycle(r: np.ndarray, levels: list, lu) -> np.ndarray:
+    """One V-cycle on K x = r from x = 0: for levels[0] = (K, omega / diag K,
+    P), 2 damped Jacobi sweeps, the coarse correction P e with e the V-cycle
+    of levels[1:] on the restricted residual P^T (r - K x), and 2 more
+    sweeps; below the last level, lu solves. A recursive closure would be a
+    reference cycle holding the ladder's matrices until the cyclic garbage
+    collector ran, long after the ladder was dropped; this function holds
+    nothing."""
+    if not levels:
+        return lu.solve(r)
+    (K, w, P), coarser = levels[0], levels[1:]
+    x = w * r
+    x += w * (r - K @ x)
+    x += P @ _vcycle(P.T @ (r - K @ x), coarser, lu)
+    for _ in range(2):
+        x += w * (r - K @ x)
+    return x
+
+
+def _vcycle_pcg(mesh: Mesh, F: np.ndarray):
+    """x with K_ff x = F on a refined mesh, and the iteration count: conjugate
+    gradients from x = 0, preconditioned by one V-cycle, until the residual
+    falls to _CG_RTOL |F|. Raises NoConvergence after _MAX_CG_ITERS.
+
+    The V-cycle's levels are mesh and its ancestors down to the first one
+    with at most _MG_MIN_FREE free nodes, or the root mesh; that level is
+    solved by its LU. Each finer level smooths with 2 damped Jacobi sweeps
+    before and 2 after the coarse correction P e, e from the parent's own
+    K_ff, which equals P^T K_ff P for nested P1 spaces. The cycle is a
+    symmetric operator, positive definite while omega lambda_max < 2
+    (Mesh._jacobi), as CG needs.
+    """
+    levels = []
+    coarse = mesh
+    while coarse.parent is not None and coarse.node_count - coarse.n_boundary > _MG_MIN_FREE:
+        # K_ff is symmetric, so its CSC transpose is itself in CSR form,
+        # whose products are faster
+        levels.append((coarse._stiffness.T, coarse._jacobi, coarse.prolongation))
+        coarse = coarse.parent
+    lu = coarse._stiffness_lu[1]
+    K = levels[0][0]
+    x = np.zeros_like(F)
+    r = F.copy()
+    z = _vcycle(r, levels, lu)
+    d, rz = z, float(r @ z)
+    stop = _CG_RTOL * float(np.linalg.norm(F))
+    for n_iter in range(1, _MAX_CG_ITERS + 1):
+        Kd = K @ d
+        a = rz / float(d @ Kd)
+        x += a * d
+        r -= a * Kd
+        if np.linalg.norm(r) <= stop:
+            return x, n_iter
+        z = _vcycle(r, levels, lu)
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    raise NoConvergence(f"V-cycle CG did not reach {_CG_RTOL:g} in {_MAX_CG_ITERS} iterations")
+
+
 def solve_torsion(
     mesh: Mesh,
     weight: WeightProfile,
@@ -531,11 +708,15 @@ def solve_torsion(
 ) -> TorsionResult:
     """Minimize the torsion energy over P1 fields vanishing on the boundary.
 
-    For p = 2 the Galerkin system is solved by a sparse direct factorization;
-    otherwise preconditioned nonlinear conjugate gradients run until the
+    For p = 2 the Galerkin system K_ff x = F is solved by the mesh's sparse
+    LU, or, on a refined mesh with more than _MG_MIN_FREE free nodes, by
+    conjugate gradients preconditioned with one multigrid V-cycle over the
+    mesh's ancestors, to a relative residual of 1e-12 (_vcycle_pcg; its
+    iteration count is the result's). Otherwise preconditioned nonlinear
+    conjugate gradients, with the LU as preconditioner, run until the
     relative energy decrease stays below tol over 10 successive iterations.
     tol must be finite and positive. Raises NoConvergence when the line
-    search or the iteration cap runs out.
+    search or an iteration cap runs out.
     """
     if not (P_MIN <= p <= P_MAX):
         raise BadExponent(f"p = {p!r} outside the supported range [{P_MIN:g}, {P_MAX:g}]")
@@ -546,11 +727,15 @@ def solve_torsion(
     if len(F) == 0:
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
-    K, lu = mesh._stiffness_lu
-    x = lu.solve(F)
+    if p == 2.0 and mesh.parent is not None and len(F) > _MG_MIN_FREE:
+        K = mesh._stiffness
+        x, iterations = _vcycle_pcg(mesh, F)
+    else:
+        K, lu = mesh._stiffness_lu
+        x, iterations = lu.solve(F), 1
     if p == 2.0:
         Kx = K @ x
-        J, residual, iterations = 0.5 * float(x @ Kx) - float(F @ x), Kx - F, 1
+        J, residual = 0.5 * float(x @ Kx) - float(F @ x), Kx - F
     else:
         x, J, residual, iterations = _ncg(mesh, F, p, tol, x)
     u[mesh.n_boundary:] = x
@@ -588,19 +773,23 @@ class RichardsonResult:
 
 
 def _ladder(polygon: ConvexPolygon, hs) -> list:
-    """The meshes of polygon at hs, reusing those of the last ladder.
+    """The nested meshes of polygon at hs: hs[0] triangulated, each finer
+    level red-refined from the one before, reusing those of the last ladder.
 
-    Only one ladder stays alive: the last ladder's meshes that this call does
-    not share (all of them, on another polygon object) are dropped before
-    anything is built.
+    The last ladder is reused only when it holds a mesh at hs[0], and then
+    at every h of hs it holds. Only one ladder stays alive: the last
+    ladder's meshes that this call does not share (all of them, on another
+    polygon object) are dropped before anything is built.
     """
     global _ladder_polygon, _ladder_meshes
-    if polygon is not _ladder_polygon:
+    if polygon is not _ladder_polygon or hs[0] not in _ladder_meshes:
         _ladder_polygon, _ladder_meshes = polygon, {}
     _ladder_meshes = {h: _ladder_meshes[h] for h in hs if h in _ladder_meshes}
-    for h in hs:
-        if h not in _ladder_meshes:
-            _ladder_meshes[h] = triangulate(polygon, h)
+    if not _ladder_meshes:
+        _ladder_meshes[hs[0]] = triangulate(polygon, hs[0])
+    for coarse, fine in zip(hs, hs[1:]):
+        if fine not in _ladder_meshes:
+            _ladder_meshes[fine] = _refined(_ladder_meshes[coarse])
     return [_ladder_meshes[h] for h in hs]
 
 
@@ -611,12 +800,17 @@ def richardson_T(
     h_list,
     tol: float = 1e-10,
 ) -> RichardsonResult:
-    """Solve on a ratio-2 ladder of meshes and extrapolate the torsion.
+    """Solve on a ratio-2 ladder of nested meshes and extrapolate the torsion.
 
-    Assumes second-order convergence at p = 2 and fits the observed order
-    otherwise; the error estimate is the last increment |T_h - T_{h/2}|.
-    Meshes (and their LUs) of the previous call on the same polygon object
-    are reused at every h the two ladders share.
+    The coarsest mesh is triangulate(polygon, h_list[0]); each finer level is
+    the one before refined once, at exactly half its h. The spaces are
+    nested, so at p = 2 with a constant weight T_h never decreases along the
+    ladder. Assumes second-order convergence at p = 2 and fits the observed
+    order otherwise; the error estimate is the last increment
+    |T_h - T_{h/2}|. Meshes (and their LUs) of the previous call on the
+    same polygon object are reused when that ladder holds a mesh at
+    h_list[0], at every h the two ladders share; otherwise the ladder is
+    built afresh.
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 3:
@@ -628,7 +822,7 @@ def richardson_T(
             raise ValueError("mesh sizes must halve at each step")
     # finest first: on a new ladder the largest LU is factorized while no
     # other LU of the ladder is alive, which lowers the peak memory
-    meshes = _ladder(polygon, hs)[::-1]
+    meshes = _ladder(polygon, [hs[0] / 2**k for k in range(len(hs))])[::-1]
     Ts = [solve_torsion(mesh, weight, p, tol).torsion for mesh in meshes][::-1]
     diffs = [b - a for a, b in zip(Ts, Ts[1:])]
     d_prev, d_last = diffs[-2], diffs[-1]

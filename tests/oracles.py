@@ -7,9 +7,9 @@ stiffness assembly, a loop over the mesh's edge subdivision points, a loop
 over the Steiner difference quotients, bisection for the theorem 3
 threshold, clipping for the body-rectangle symmetric difference, one qhull
 call on every mesh point, np.add.at sums, a minimum-degree LU, full lattice
-rows) so the two can act as mutual checks. The mesh-quality probes (angle
-range, longest edge) measure meshes that the library builds but never
-inspects.
+rows, a ladder of independently triangulated meshes) so the two can act as
+mutual checks. The mesh-quality probes (angle range, longest edge) measure
+meshes that the library builds but never inspects.
 """
 import math
 from collections import deque
@@ -19,6 +19,8 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay
+
+from webtorsion.solver import triangulate
 
 
 def torsion_rectangle_series(a: float, b: float, terms: int = 400) -> float:
@@ -285,6 +287,13 @@ def kept_lattice_rows(polygon, h: float) -> np.ndarray:
         row = np.column_stack((xs, np.full(len(xs), y)))
         rows.append(row[polygon.signed_distance(row) >= 0.5 * s])
     return np.concatenate(rows)
+
+
+def independent_ladder(polygon, hs) -> list:
+    """The meshes of a Richardson ladder built one triangulate call per h,
+    each independent of the others: the ladder before its levels were
+    nested by refinement."""
+    return [triangulate(polygon, h) for h in hs]
 
 
 def splu_minimum_degree(K):

@@ -88,6 +88,25 @@ def test_oversized_inputs_exit_one(square_file, tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: need at most 100")
 
 
+def test_fuzz_grid_checked_before_the_sweep(monkeypatch, capsys):
+    # an empty corpus builds no profile, so only the up-front check can
+    # reject the grid; a valid grid still gives the empty summary
+    import webtorsion.harness as harness_mod
+
+    bodies = []
+    real = harness_mod.random_convex_body
+    monkeypatch.setattr(harness_mod, "random_convex_body",
+                        lambda cfg, i: bodies.append(i) or real(cfg, i))
+    for grid, message in (("10", "below minimum 64"), ("99999999999", "above maximum 1048576")):
+        for n in ("0", "3"):
+            assert cli_dispatch(["fuzz", "--n", n, "--grid", grid]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: grid size") and message in err
+    assert bodies == []
+    assert cli_dispatch(["fuzz", "--n", "0", "--grid", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 0
+
+
 def test_missing_file_is_usage_error(capsys):
     assert cli_dispatch(["geometry", "/nonexistent/shape.json"]) == 1
 

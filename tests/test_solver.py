@@ -15,6 +15,7 @@ from oracles import (
     boundary_subdivision_loop,
     delaunay_tie_gap,
     full_delaunay_mesh,
+    independent_ladder,
     kept_lattice_rows,
     load_vector_add_at,
     max_edge_length,
@@ -53,6 +54,20 @@ def _recomputed_state(res):
     J = float(np.sum(area * s ** (p / 2.0))) / p - float(F @ x)
     grad = G.T @ (np.tile(area * s ** ((p - 2.0) / 2.0), 2) * g) - F
     return J, float(np.linalg.norm(grad)), float(np.linalg.norm(F))
+
+
+def _point_numbers(mesh, points):
+    """For each node of mesh, the index of the same point in points, which
+    holds the mesh's boundary nodes in place and its free nodes in another
+    order."""
+    nb = mesh.n_boundary
+    assert mesh.nodes[:nb].tobytes() == points[:nb].tobytes()
+    a, b = mesh.nodes[nb:], points[nb:]
+    ia, ib = np.lexsort(a.T), np.lexsort(b.T)
+    assert a[ia].tobytes() == b[ib].tobytes()
+    index = np.empty(len(a), dtype=np.int64)
+    index[ia] = ib
+    return np.concatenate((np.arange(nb), nb + index))
 
 
 class TestTriangulate:
@@ -136,15 +151,20 @@ class TestTriangulate:
         cases += [(disk(1.0, 256)[0], 0.02), (rotated, 1.0 / 24), (rectangle(0.1)[0], 0.0125)]
         ties = 0
         for poly, h in cases:
-            pts, nb, _ = solver_mod._mesh_points(poly, h)
+            pts, nb, lattice = solver_mod._mesh_points(poly, h)
             mesh = triangulate(poly, h)
+            # the mesh's triangles on the points' own numbering, which the
+            # free nodes' elimination order permutes
+            smoothed = solver_mod._smoothed(
+                poly, pts, solver_mod._delaunay_triangles(pts, h, lattice), nb, 0.32 * h)
+            back = _point_numbers(mesh, smoothed)
             nodes, tris = full_delaunay_mesh(poly, pts, nb, h)
-            differ, gap = delaunay_tie_gap(pts, mesh.triangles, tris, h)
+            differ, gap = delaunay_tie_gap(pts, back[mesh.triangles], tris, h)
             assert gap <= 1e-10
             if differ:
                 ties += 1
             else:
-                assert np.abs(mesh.nodes - nodes).max() <= 1e-12 * h
+                assert np.abs(mesh.nodes - nodes[back]).max() <= 1e-12 * h
         assert ties <= 1
 
     def test_without_deep_points_qhull_meshes_every_node(self, unit_square, monkeypatch):
@@ -174,26 +194,43 @@ class TestTriangulate:
             assert a.triangles.tobytes() == b.triangles.tobytes()
 
     def test_free_nodes_permute_the_kept_lattice(self, unit_square, small_corpus):
-        # the lattice's point index, read in lattice order, lists the kept
-        # points row by row; the free nodes hold them in elimination order
+        # the kept lattice points come row by row; the mesh holds them, after
+        # smoothing, in the nested-dissection order of its free edges
         cases = [(unit_square, 1.0 / 64), (disk(1.0, 256)[0], 0.02), (rectangle(0.1)[0], 0.0125),
                  (small_corpus[1], metrics(small_corpus[1]).inradius / 4.0)]
         for poly, h in cases:
             pts, nb, lattice = solver_mod._mesh_points(poly, h)
             node = lattice[4]
-            kept = node[node >= 0]
-            assert np.array_equal(np.sort(kept), np.arange(nb, len(pts)))
-            assert not np.array_equal(kept, np.arange(nb, len(pts)))
-            assert pts[kept].tobytes() == kept_lattice_rows(poly, h).tobytes()
+            assert np.array_equal(node[node >= 0], np.arange(nb, len(pts)))
+            assert pts[nb:].tobytes() == kept_lattice_rows(poly, h).tobytes()
+            smoothed = solver_mod._smoothed(
+                poly, pts, solver_mod._delaunay_triangles(pts, h, lattice), nb, 0.32 * h)
+            mesh = triangulate(poly, h)
+            assert mesh.nodes[:nb].tobytes() == smoothed[:nb].tobytes()
+            free, ref = mesh.nodes[nb:], smoothed[nb:]
+            assert not np.array_equal(free, ref)
+            assert np.array_equal(free[np.lexsort(free.T)], ref[np.lexsort(ref.T)])
 
     def test_identity_order_below_one_leaf(self, unit_square):
         # 4 free nodes, fewer than one leaf box holds, and none at all
-        pts, nb, lattice = solver_mod._mesh_points(unit_square, 0.49)
-        node = lattice[4]
-        assert np.array_equal(node[node >= 0], np.arange(nb, nb + 4))
-        assert len(pts) == nb + 4
+        mesh = triangulate(unit_square, 0.49)
+        pts, nb, _ = solver_mod._mesh_points(unit_square, 0.49)
+        assert len(pts) == nb + 4 and mesh.n_boundary == nb
+        edges = solver_mod._free_edges(mesh.triangles, nb)
+        assert np.array_equal(solver_mod._dissection_order(mesh.nodes[nb:], edges), np.arange(4))
         none = np.zeros(0, dtype=np.int64)
-        assert len(solver_mod._dissection_order(none, none)) == 0
+        assert len(solver_mod._dissection_order(np.zeros((0, 2)), (none, none))) == 0
+
+    def test_free_edges_once_each(self, unit_square):
+        for mesh in (triangulate(unit_square, 1.0 / 16),
+                     solver_mod._refined(triangulate(disk(1.0, 256)[0], 0.2))):
+            nb = mesh.n_boundary
+            i, j = solver_mod._free_edges(mesh.triangles, nb)
+            pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1) - nb
+            ref = np.unique(pairs[pairs.min(axis=1) >= 0], axis=0)
+            assert np.all(i < j)
+            assert np.array_equal(np.unique(np.column_stack((i, j)), axis=0), ref)
+            assert len(i) == len(ref)
 
     def test_single_row_of_free_nodes(self):
         # the low corner shifts the lattice rows so that only one row is
@@ -293,8 +330,11 @@ class TestDiscretization:
         assert lu.nnz < splu(K).nnz
 
     def test_nested_dissection_fills_less_than_minimum_degree(self, unit_square):
-        K, lu = triangulate(unit_square, 1.0 / 96)._stiffness_lu
-        assert lu.nnz < splu_minimum_degree(K).nnz
+        # the edge-based order, on a triangulated and on a refined mesh
+        refined = solver_mod._refined(solver_mod._refined(triangulate(unit_square, 1.0 / 24)))
+        for mesh in (triangulate(unit_square, 1.0 / 96), refined):
+            K, lu = mesh._stiffness_lu
+            assert lu.nnz < splu_minimum_degree(K).nnz
 
     @pytest.mark.parametrize("case", ["square", "disk", "rectangle", "corpus"])
     def test_p2_matches_minimum_degree_route(self, case, small_corpus):
@@ -587,53 +627,74 @@ class TestLadderReuse:
 
     @staticmethod
     def _count_builds(monkeypatch):
-        """The h of every mesh built and the shape of every matrix factorized."""
-        built, factored = [], []
-        tri, lu = solver_mod.triangulate, solver_mod.splu
+        """The h of every mesh triangulated, the h of every mesh refined and
+        the shape of every matrix factorized."""
+        built, refined, factored = [], [], []
+        tri, ref, lu = solver_mod.triangulate, solver_mod._refined, solver_mod.splu
         monkeypatch.setattr(solver_mod, "triangulate",
                             lambda poly, h: built.append(h) or tri(poly, h))
+        monkeypatch.setattr(solver_mod, "_refined",
+                            lambda mesh: refined.append(mesh.h / 2) or ref(mesh))
         monkeypatch.setattr(solver_mod, "splu",
                             lambda K, **kw: factored.append(K.shape) or lu(K, **kw))
-        return built, factored
+        return built, refined, factored
 
     def test_one_mesh_and_lu_per_h_across_p_and_weights(self, monkeypatch):
-        built, factored = self._count_builds(monkeypatch)
+        # one triangulate per ladder, the finer levels refined from it
+        built, refined, factored = self._count_builds(monkeypatch)
         square = _fresh_square()
         for w in (W1, WeightProfile.exponential(1.0, 1.0)):
             for p in (1.5, 2.0, 3.0):
                 richardson_T(square, w, p, self.HS)
-        assert built == self.HS
+        assert built == self.HS[:1]
+        assert refined == self.HS[1:]
         assert len(factored) == 3
 
     def test_shifted_ladder_builds_one_mesh(self, monkeypatch):
+        # the one new level is refined from the last ladder's finest
         square = _fresh_square()
         richardson_T(square, W1, 2.0, self.HS)
-        built, factored = self._count_builds(monkeypatch)
+        built, refined, factored = self._count_builds(monkeypatch)
         richardson_T(square, W1, 2.0, [1 / 16, 1 / 32, 1 / 64])
-        assert built == [1 / 64]
+        assert built == []
+        assert refined == [1 / 64]
         assert len(factored) == 1
 
+    def test_coarser_ladder_starts_afresh(self, monkeypatch):
+        # no mesh of the last ladder at the new coarsest h: nothing is reused
+        square = _fresh_square()
+        richardson_T(square, W1, 2.0, self.HS)
+        built, refined, _ = self._count_builds(monkeypatch)
+        richardson_T(square, W1, 2.0, [1 / 4, 1 / 8, 1 / 16])
+        assert built == [1 / 4] and refined == [1 / 8, 1 / 16]
+
     def test_other_polygon_frees_the_ladder(self, monkeypatch):
-        tri = solver_mod.triangulate
+        tri, ref = solver_mod.triangulate, solver_mod._refined
         old, dead_at_build = [], []
 
-        def recorded(poly, h):
-            mesh = tri(poly, h)
-            old.append(weakref.ref(mesh))
-            return mesh
+        def recorded(build):
+            def wrapped(*args):
+                mesh = build(*args)
+                old.append(weakref.ref(mesh))
+                return mesh
+            return wrapped
 
-        monkeypatch.setattr(solver_mod, "triangulate", recorded)
+        monkeypatch.setattr(solver_mod, "triangulate", recorded(tri))
+        monkeypatch.setattr(solver_mod, "_refined", recorded(ref))
         richardson_T(_fresh_square(), W1, 2.0, self.HS)
         gc.collect()
         assert len(old) == 3 and all(r() is not None for r in old)
 
-        def checked(poly, h):
-            gc.collect()
-            dead_at_build.append(all(r() is None for r in old))
-            return tri(poly, h)
+        def checked(build):
+            def wrapped(*args):
+                gc.collect()
+                dead_at_build.append(all(r() is None for r in old))
+                return build(*args)
+            return wrapped
 
         # equal vertices, another object: the old ladder goes before any build
-        monkeypatch.setattr(solver_mod, "triangulate", checked)
+        monkeypatch.setattr(solver_mod, "triangulate", checked(tri))
+        monkeypatch.setattr(solver_mod, "_refined", checked(ref))
         richardson_T(_fresh_square(), W1, 2.0, self.HS)
         assert dead_at_build == [True, True, True]
 
@@ -644,6 +705,142 @@ class TestLadderReuse:
         reused = richardson_T(square, w, 3.0, self.HS)
         fresh = richardson_T(_fresh_square(), w, 3.0, self.HS)
         assert reused == fresh
-        assert reused.torsions == tuple(
-            solve_torsion(triangulate(_fresh_square(), h), w, 3.0).torsion for h in self.HS
-        )
+        meshes = solver_mod._ladder(square, self.HS)
+        assert [m.h for m in meshes] == self.HS
+        assert reused.torsions == tuple(solve_torsion(m, w, 3.0).torsion for m in meshes)
+
+
+def _refined_times(mesh, k):
+    """mesh and its k successive refinements, coarsest first."""
+    meshes = [mesh]
+    for _ in range(k):
+        meshes.append(solver_mod._refined(meshes[-1]))
+    return meshes
+
+
+def _edge_count(triangles) -> int:
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    return len(np.unique(pairs, axis=0))
+
+
+class TestRefinement:
+    @pytest.fixture(scope="class")
+    def coarse_meshes(self, unit_square, small_corpus):
+        return [triangulate(unit_square, 1.0 / 8), triangulate(disk(1.0, 256)[0], 0.2),
+                triangulate(rectangle(0.1)[0], 0.025),
+                triangulate(small_corpus[2], metrics(small_corpus[2]).inradius / 2.0)]
+
+    def test_tiles_the_polygon_boundary_first(self, coarse_meshes):
+        for coarse in coarse_meshes:
+            fine = solver_mod._refined(coarse)
+            poly, nb = coarse.polygon, fine.n_boundary
+            assert fine.node_count == coarse.node_count + _edge_count(coarse.triangles)
+            assert fine.h == coarse.h / 2 and fine.parent is coarse
+            assert np.all(fine.triangle_areas > 0)
+            assert float(np.sum(fine.triangle_areas)) == pytest.approx(metrics(poly).area, rel=1e-12)
+            # each parent splits in four equal children, listed together
+            quarters = fine.triangle_areas.reshape(-1, 4)
+            assert np.abs(quarters - coarse.triangle_areas[:, None] / 4).max() <= (
+                1e-12 * coarse.triangle_areas.max())
+            # a loop of boundary nodes has as many edges: each gains a midpoint
+            assert nb == 2 * coarse.n_boundary
+            assert fine.nodes[: coarse.n_boundary].tobytes() == (
+                coarse.nodes[: coarse.n_boundary].tobytes())
+            assert np.all(np.abs(poly.signed_distance(fine.nodes[:nb])) <= 1e-12)
+            assert np.all(poly.signed_distance(fine.nodes[nb:]) > 1e-6 * fine.h)
+
+    def test_prolongation_reproduces_the_coarse_field(self, coarse_meshes):
+        rng = np.random.default_rng(3)
+        for coarse in coarse_meshes:
+            fine = solver_mod._refined(coarse)
+            P = fine.prolongation
+            assert P.shape == (fine.node_count - fine.n_boundary, coarse.node_count - coarse.n_boundary)
+            x = rng.standard_normal(P.shape[1])
+            got = (fine._gradient @ (P @ x)).reshape(2, -1)
+            want = np.repeat((coarse._gradient @ x).reshape(2, -1), 4, axis=1)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_galerkin_coarse_operator(self, coarse_meshes):
+        for coarse in coarse_meshes:
+            fine = solver_mod._refined(coarse)
+            nb, P = fine.n_boundary, fine.prolongation
+            K_fine = stiffness_coo(fine.nodes, fine.triangles)[nb:, nb:]
+            K_coarse = stiffness_coo(coarse.nodes, coarse.triangles)[coarse.n_boundary:, coarse.n_boundary:]
+            assert abs(P.T @ K_fine @ P - K_coarse).max() <= 1e-12 * abs(K_coarse).max()
+
+    def test_refinement_respects_the_node_budget(self, unit_square, monkeypatch):
+        coarse = triangulate(unit_square, 1.0 / 16)
+        monkeypatch.setattr(solver_mod, "_MAX_NODES", coarse.node_count + 100)
+        with pytest.raises(TooFine):
+            solver_mod._refined(coarse)
+
+
+class TestMultigrid:
+    @staticmethod
+    def _lu_torsion(mesh):
+        F = solver_mod._load_vector(mesh, W1)
+        return float(F @ mesh._stiffness_lu[1].solve(F))
+
+    def test_vcycle_cg_matches_the_lu(self, unit_square, monkeypatch):
+        # with the size rule lowered the V-cycle smooths on three levels and
+        # solves the root mesh by its LU
+        monkeypatch.setattr(solver_mod, "_MG_MIN_FREE", 64)
+        meshes = _refined_times(triangulate(unit_square, 1.0 / 16), 3)
+        for mesh in meshes[1:]:
+            res = solve_torsion(mesh, W1, 2.0)
+            assert res.iterations > 1
+            assert res.torsion == pytest.approx(self._lu_torsion(mesh), rel=1e-12)
+            F = solver_mod._load_vector(mesh, W1)
+            assert res.grad_norm <= 1e-11 * np.linalg.norm(F)
+
+    def test_size_rule(self, unit_square):
+        # a refined mesh above 2^13 free nodes takes the V-cycle; its LU is
+        # never built, and the V-cycle's LU is its parent's
+        coarse, mid, fine = _refined_times(triangulate(unit_square, 1.0 / 24), 2)
+        assert mid.node_count - mid.n_boundary <= solver_mod._MG_MIN_FREE
+        assert fine.node_count - fine.n_boundary > solver_mod._MG_MIN_FREE
+        res = solve_torsion(fine, W1, 2.0)
+        assert res.iterations > 1
+        assert "_stiffness_lu" not in fine.__dict__ and "_stiffness_lu" in mid.__dict__
+        assert "_stiffness_lu" not in coarse.__dict__
+        assert res.torsion == pytest.approx(self._lu_torsion(fine), rel=1e-12)
+        assert solve_torsion(mid, W1, 2.0).iterations == 1
+        # p != 2 keeps the LU and the nonlinear iteration
+        assert solve_torsion(fine, W1, 3.0).torsion > 0 and "_stiffness_lu" in fine.__dict__
+
+    def test_bad_angles_converge(self):
+        # disk(1, 256) at h = 0.32 has 256 boundary nodes around about 50
+        # free ones, and refinement keeps those angles
+        mesh = _refined_times(triangulate(disk(1.0, 256)[0], 0.32), 3)[-1]
+        assert mesh.node_count - mesh.n_boundary > solver_mod._MG_MIN_FREE
+        res = solve_torsion(mesh, W1, 2.0)
+        assert 20 < res.iterations < 200
+        assert res.torsion == pytest.approx(self._lu_torsion(mesh), rel=1e-12)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_MAX_CG_ITERS", 20)
+        mesh = _refined_times(triangulate(disk(1.0, 256)[0], 0.32), 3)[-1]
+        with pytest.raises(NoConvergence, match="V-cycle CG"):
+            solve_torsion(mesh, W1, 2.0)
+
+
+class TestNestedLadder:
+    def test_p2_torsion_never_decreases(self, unit_square, small_corpus):
+        # nested P1 spaces and an exact constant load: T_h = max over V_h
+        for poly, h in ((unit_square, 1.0 / 4), (disk(1.0, 256)[0], 0.25),
+                        (small_corpus[5], metrics(small_corpus[5]).inradius / 2.0)):
+            Ts = [solve_torsion(m, W1, 2.0).torsion for m in _refined_times(triangulate(poly, h), 4)]
+            assert all(b > a for a, b in zip(Ts, Ts[1:]))
+
+    @pytest.mark.parametrize("case", ["square", "disk", "rectangle"])
+    def test_agrees_with_independent_meshes(self, case, monkeypatch):
+        poly, hs = {
+            "square": lambda: (_fresh_square(), [1 / 12, 1 / 24, 1 / 48, 1 / 96]),
+            "disk": lambda: (disk(1.0, 256)[0], [1 / 8, 1 / 16, 1 / 32]),
+            "rectangle": lambda: (rectangle(0.1)[0], [0.025, 0.0125, 0.00625]),
+        }[case]()
+        nested = richardson_T(poly, W1, 2.0, hs)
+        monkeypatch.setattr(solver_mod, "_ladder", independent_ladder)
+        independent = richardson_T(poly, W1, 2.0, hs)
+        assert nested.torsions != independent.torsions
+        assert abs(nested.torsion - independent.torsion) <= max(nested.error, independent.error)
