@@ -9,7 +9,7 @@ computed from the mesh's edges (_dissection_order), and the stiffness
 matrix is factorized in that order. At p = 2 the linear system is solved
 directly, or, on a refined mesh with more than _MG_MIN_FREE free nodes, by
 conjugate gradients preconditioned with one multigrid V-cycle over the
-mesh's ancestors (_vcycle_pcg). Otherwise a preconditioned nonlinear
+mesh's ancestors (_solve_p2). Otherwise a preconditioned nonlinear
 conjugate gradient iteration is used, warm-started from the scaled linear
 solution. The iteration carries the slopes G x and the load term F . x of
 its iterate. Its line search is a safeguarded Newton search on the convex
@@ -38,8 +38,9 @@ richardson_T builds nested ladders: it triangulates its coarsest h only,
 and each finer level splits every triangle of the one before into four
 (_refined). The P1 spaces are then nested, and each refined mesh holds its
 parent and the prolongation between them, which the V-cycle uses. It keeps
-the meshes of its last ladder, so successive calls on the same polygon
-share them too.
+its last ladder (_ladder), and a call on the same polygon object from the
+same coarsest h shares its meshes; any other call builds afresh, so a
+result depends only on the call's arguments.
 
 triangulate places boundary subdivision points and an interior hexagonal
 lattice. The lattice triangles whose three points were kept lie deep enough
@@ -55,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 from scipy.spatial import Delaunay
 
 from .errors import BadExponent, NoConvergence, NonMonotoneConvergence, TooFine
@@ -83,9 +84,8 @@ _MAX_CG_ITERS = 1_000
 # power steps of the smoother's lambda_max estimate
 _POWER_STEPS = 10
 
-# richardson_T's last ladder: its polygon and {h: Mesh} for that call's h values
-_ladder_polygon = None
-_ladder_meshes = {}
+# richardson_T's last ladder, coarsest mesh first
+_last_ladder = []
 
 
 @dataclass(frozen=True)
@@ -156,15 +156,14 @@ class Mesh:
 
     @cached_property
     def _stiffness_lu(self):
-        """K_ff and its sparse LU, one per mesh.
+        """The sparse LU of K_ff, one per mesh.
 
         K_ff is symmetric positive definite, so the LU needs no pivoting.
         The free nodes come in nested-dissection order, and the LU keeps
         that order: it permutes no column.
         """
-        K = self._stiffness
-        return K, splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        return splu(self._stiffness, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
 
     @cached_property
     def _jacobi(self) -> np.ndarray:
@@ -544,7 +543,7 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     """Preconditioned nonlinear CG from the linear solution x: returns the
     minimizer on the free nodes, its energy, gradient and iteration count."""
     G, GT = mesh._gradient, mesh._gradient_T
-    lu = mesh._stiffness_lu[1]
+    lu = mesh._stiffness_lu
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
 
     def energy(Gx, Fx):
@@ -660,18 +659,20 @@ def _vcycle(r: np.ndarray, levels: list, lu) -> np.ndarray:
     return x
 
 
-def _vcycle_pcg(mesh: Mesh, F: np.ndarray):
-    """x with K_ff x = F on a refined mesh, and the iteration count: conjugate
-    gradients from x = 0, preconditioned by one V-cycle, until the residual
-    falls to _CG_RTOL |F|. Raises NoConvergence after _MAX_CG_ITERS.
+def _solve_p2(mesh: Mesh, F: np.ndarray):
+    """x with K_ff x = F, and the iteration count.
 
-    The V-cycle's levels are mesh and its ancestors down to the first one
-    with at most _MG_MIN_FREE free nodes, or the root mesh; that level is
-    solved by its LU. Each finer level smooths with 2 damped Jacobi sweeps
-    before and 2 after the coarse correction P e, e from the parent's own
-    K_ff, which equals P^T K_ff P for nested P1 spaces. The cycle is a
-    symmetric operator, positive definite while omega lambda_max < 2
-    (Mesh._jacobi), as CG needs.
+    A triangulated mesh, or a refined one with at most _MG_MIN_FREE free
+    nodes, is solved by its LU, in 1 iteration. A larger refined mesh is
+    solved by scipy's conjugate gradients from x = 0, preconditioned by one
+    V-cycle, until the residual falls below _CG_RTOL |F|; NoConvergence is
+    raised after _MAX_CG_ITERS iterations. The V-cycle's levels are mesh
+    and its ancestors down to the first one with at most _MG_MIN_FREE free
+    nodes, or the root mesh; that level is solved by its LU. Each finer
+    level smooths with 2 damped Jacobi sweeps before and 2 after the coarse
+    correction P e, e from the parent's own K_ff, which equals P^T K_ff P
+    for nested P1 spaces. The cycle is a symmetric operator, positive
+    definite while omega lambda_max < 2 (Mesh._jacobi), as CG needs.
     """
     levels = []
     coarse = mesh
@@ -680,24 +681,17 @@ def _vcycle_pcg(mesh: Mesh, F: np.ndarray):
         # whose products are faster
         levels.append((coarse._stiffness.T, coarse._jacobi, coarse.prolongation))
         coarse = coarse.parent
-    lu = coarse._stiffness_lu[1]
+    lu = coarse._stiffness_lu
+    if not levels:
+        return lu.solve(F), 1
     K = levels[0][0]
-    x = np.zeros_like(F)
-    r = F.copy()
-    z = _vcycle(r, levels, lu)
-    d, rz = z, float(r @ z)
-    stop = _CG_RTOL * float(np.linalg.norm(F))
-    for n_iter in range(1, _MAX_CG_ITERS + 1):
-        Kd = K @ d
-        a = rz / float(d @ Kd)
-        x += a * d
-        r -= a * Kd
-        if np.linalg.norm(r) <= stop:
-            return x, n_iter
-        z = _vcycle(r, levels, lu)
-        rz, rz_old = float(r @ z), rz
-        d = z + (rz / rz_old) * d
-    raise NoConvergence(f"V-cycle CG did not reach {_CG_RTOL:g} in {_MAX_CG_ITERS} iterations")
+    vcycle = LinearOperator(K.shape, matvec=lambda r: _vcycle(r, levels, lu), dtype=F.dtype)
+    steps = []  # one entry per iteration
+    x, info = cg(K, F, rtol=_CG_RTOL, atol=0.0, maxiter=_MAX_CG_ITERS, M=vcycle,
+                 callback=steps.append)
+    if info > 0:
+        raise NoConvergence(f"V-cycle CG did not reach {_CG_RTOL:g} in {_MAX_CG_ITERS} iterations")
+    return x, len(steps)
 
 
 def solve_torsion(
@@ -711,7 +705,7 @@ def solve_torsion(
     For p = 2 the Galerkin system K_ff x = F is solved by the mesh's sparse
     LU, or, on a refined mesh with more than _MG_MIN_FREE free nodes, by
     conjugate gradients preconditioned with one multigrid V-cycle over the
-    mesh's ancestors, to a relative residual of 1e-12 (_vcycle_pcg; its
+    mesh's ancestors, to a relative residual of 1e-12 (_solve_p2; its
     iteration count is the result's). Otherwise preconditioned nonlinear
     conjugate gradients, with the LU as preconditioner, run until the
     relative energy decrease stays below tol over 10 successive iterations.
@@ -727,17 +721,12 @@ def solve_torsion(
     if len(F) == 0:
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
-    if p == 2.0 and mesh.parent is not None and len(F) > _MG_MIN_FREE:
-        K = mesh._stiffness
-        x, iterations = _vcycle_pcg(mesh, F)
-    else:
-        K, lu = mesh._stiffness_lu
-        x, iterations = lu.solve(F), 1
     if p == 2.0:
-        Kx = K @ x
+        x, iterations = _solve_p2(mesh, F)
+        Kx = mesh._stiffness @ x
         J, residual = 0.5 * float(x @ Kx) - float(F @ x), Kx - F
     else:
-        x, J, residual, iterations = _ncg(mesh, F, p, tol, x)
+        x, J, residual, iterations = _ncg(mesh, F, p, tol, mesh._stiffness_lu.solve(F))
     u[mesh.n_boundary:] = x
     return TorsionResult(mesh, u, p, weight, J, float(F @ x), iterations,
                          float(np.linalg.norm(residual)))
@@ -772,25 +761,21 @@ class RichardsonResult:
     torsions: tuple
 
 
-def _ladder(polygon: ConvexPolygon, hs) -> list:
-    """The nested meshes of polygon at hs: hs[0] triangulated, each finer
-    level red-refined from the one before, reusing those of the last ladder.
+def _ladder(polygon: ConvexPolygon, h: float, levels: int) -> list:
+    """The nested ladder of polygon from h, coarsest first: triangulate(polygon,
+    h) and levels - 1 successive refinements of it.
 
-    The last ladder is reused only when it holds a mesh at hs[0], and then
-    at every h of hs it holds. Only one ladder stays alive: the last
-    ladder's meshes that this call does not share (all of them, on another
-    polygon object) are dropped before anything is built.
+    The last ladder is reused only when it starts at the same polygon object
+    and the same h: it is extended by refinement, or its first levels are
+    returned. Any other call drops it before anything is built, so at most
+    one ladder is alive and the meshes depend only on the arguments.
     """
-    global _ladder_polygon, _ladder_meshes
-    if polygon is not _ladder_polygon or hs[0] not in _ladder_meshes:
-        _ladder_polygon, _ladder_meshes = polygon, {}
-    _ladder_meshes = {h: _ladder_meshes[h] for h in hs if h in _ladder_meshes}
-    if not _ladder_meshes:
-        _ladder_meshes[hs[0]] = triangulate(polygon, hs[0])
-    for coarse, fine in zip(hs, hs[1:]):
-        if fine not in _ladder_meshes:
-            _ladder_meshes[fine] = _refined(_ladder_meshes[coarse])
-    return [_ladder_meshes[h] for h in hs]
+    if not (_last_ladder and _last_ladder[0].polygon is polygon and _last_ladder[0].h == h):
+        _last_ladder.clear()
+        _last_ladder.append(triangulate(polygon, h))
+    while len(_last_ladder) < levels:
+        _last_ladder.append(_refined(_last_ladder[-1]))
+    return _last_ladder[:levels]
 
 
 def richardson_T(
@@ -807,14 +792,16 @@ def richardson_T(
     nested, so at p = 2 with a constant weight T_h never decreases along the
     ladder. Assumes second-order convergence at p = 2 and fits the observed
     order otherwise; the error estimate is the last increment
-    |T_h - T_{h/2}|. Meshes (and their LUs) of the previous call on the
-    same polygon object are reused when that ladder holds a mesh at
-    h_list[0], at every h the two ladders share; otherwise the ladder is
-    built afresh.
+    |T_h - T_{h/2}|. The meshes (and their LUs) of the previous call are
+    reused when it was on the same polygon object from the same h_list[0];
+    otherwise the ladder is built afresh. Either way the result depends
+    only on the arguments.
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 3:
         raise ValueError("need at least 3 mesh sizes")
+    if not all(h > 0.0 for h in hs):
+        raise ValueError("mesh sizes must be positive")
     for a, b in zip(hs, hs[1:]):
         if not (a > b):
             raise ValueError("mesh sizes must decrease")
@@ -822,7 +809,7 @@ def richardson_T(
             raise ValueError("mesh sizes must halve at each step")
     # finest first: on a new ladder the largest LU is factorized while no
     # other LU of the ladder is alive, which lowers the peak memory
-    meshes = _ladder(polygon, [hs[0] / 2**k for k in range(len(hs))])[::-1]
+    meshes = _ladder(polygon, hs[0], len(hs))[::-1]
     Ts = [solve_torsion(mesh, weight, p, tol).torsion for mesh in meshes][::-1]
     diffs = [b - a for a, b in zip(Ts, Ts[1:])]
     d_prev, d_last = diffs[-2], diffs[-1]

@@ -289,11 +289,11 @@ def kept_lattice_rows(polygon, h: float) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def independent_ladder(polygon, hs) -> list:
-    """The meshes of a Richardson ladder built one triangulate call per h,
-    each independent of the others: the ladder before its levels were
-    nested by refinement."""
-    return [triangulate(polygon, h) for h in hs]
+def independent_ladder(polygon, h, levels) -> list:
+    """The meshes of a Richardson ladder from h, halving levels - 1 times,
+    built one triangulate call per level, each independent of the others:
+    the ladder before its levels were nested by refinement."""
+    return [triangulate(polygon, h / 2**k) for k in range(levels)]
 
 
 def splu_minimum_degree(K):

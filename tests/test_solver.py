@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import (
     T_DISK_P15,
@@ -280,7 +281,7 @@ class TestDiscretization:
         ):
             nb = mesh.n_boundary
             ref = stiffness_coo(mesh.nodes, mesh.triangles)[nb:, nb:]
-            K, _ = mesh._stiffness_lu
+            K = mesh._stiffness
             assert abs(K - ref).max() <= 1e-13 * abs(ref).max()
 
     def test_load_vector_matches_add_at_bitwise(self):
@@ -319,22 +320,23 @@ class TestDiscretization:
     )
     def test_lu_solves_stiffness(self, poly, h):
         # no pivoting: K_ff is symmetric positive definite
-        K, lu = triangulate(poly, h)._stiffness_lu
+        mesh = triangulate(poly, h)
+        K, lu = mesh._stiffness, mesh._stiffness_lu
         b = np.random.default_rng(0).standard_normal(K.shape[0])
         assert np.linalg.norm(K @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_symmetric_ordering_fills_less_than_colamd(self, unit_square):
         from scipy.sparse.linalg import splu
 
-        K, lu = triangulate(unit_square, 1.0 / 96)._stiffness_lu
+        mesh = triangulate(unit_square, 1.0 / 96)
+        K, lu = mesh._stiffness, mesh._stiffness_lu
         assert lu.nnz < splu(K).nnz
 
     def test_nested_dissection_fills_less_than_minimum_degree(self, unit_square):
         # the edge-based order, on a triangulated and on a refined mesh
         refined = solver_mod._refined(solver_mod._refined(triangulate(unit_square, 1.0 / 24)))
         for mesh in (triangulate(unit_square, 1.0 / 96), refined):
-            K, lu = mesh._stiffness_lu
-            assert lu.nnz < splu_minimum_degree(K).nnz
+            assert mesh._stiffness_lu.nnz < splu_minimum_degree(mesh._stiffness).nnz
 
     @pytest.mark.parametrize("case", ["square", "disk", "rectangle", "corpus"])
     def test_p2_matches_minimum_degree_route(self, case, small_corpus):
@@ -602,6 +604,8 @@ class TestRichardson:
             richardson_T(unit_square, W1, 2.0, [1 / 16, 1 / 32])
         with pytest.raises(ValueError):
             richardson_T(unit_square, W1, 2.0, [1 / 16, 1 / 24, 1 / 32])
+        with pytest.raises(ValueError, match="positive"):
+            richardson_T(unit_square, W1, 2.0, [0.2, 0.1, 0.0])
 
     def test_non_monotone_detected(self, unit_square, monkeypatch):
         fake = {1 / 8: 0.035, 1 / 16: 0.0351, 1 / 32: 0.0349}
@@ -650,15 +654,16 @@ class TestLadderReuse:
         assert refined == self.HS[1:]
         assert len(factored) == 3
 
-    def test_shifted_ladder_builds_one_mesh(self, monkeypatch):
-        # the one new level is refined from the last ladder's finest
+    def test_shifted_ladder_starts_afresh(self, monkeypatch):
+        # a ladder from another coarsest h shares no mesh with the last one,
+        # so the result is the same as on a fresh polygon
+        shifted = [1 / 16, 1 / 32, 1 / 64]
         square = _fresh_square()
         richardson_T(square, W1, 2.0, self.HS)
-        built, refined, factored = self._count_builds(monkeypatch)
-        richardson_T(square, W1, 2.0, [1 / 16, 1 / 32, 1 / 64])
-        assert built == []
-        assert refined == [1 / 64]
-        assert len(factored) == 1
+        built, refined, _ = self._count_builds(monkeypatch)
+        after = richardson_T(square, W1, 2.0, shifted)
+        assert built == [1 / 16] and refined == [1 / 32, 1 / 64]
+        assert after == richardson_T(_fresh_square(), W1, 2.0, shifted)
 
     def test_coarser_ladder_starts_afresh(self, monkeypatch):
         # no mesh of the last ladder at the new coarsest h: nothing is reused
@@ -705,7 +710,7 @@ class TestLadderReuse:
         reused = richardson_T(square, w, 3.0, self.HS)
         fresh = richardson_T(_fresh_square(), w, 3.0, self.HS)
         assert reused == fresh
-        meshes = solver_mod._ladder(square, self.HS)
+        meshes = solver_mod._ladder(square, self.HS[0], len(self.HS))
         assert [m.h for m in meshes] == self.HS
         assert reused.torsions == tuple(solve_torsion(m, w, 3.0).torsion for m in meshes)
 
@@ -779,7 +784,7 @@ class TestMultigrid:
     @staticmethod
     def _lu_torsion(mesh):
         F = solver_mod._load_vector(mesh, W1)
-        return float(F @ mesh._stiffness_lu[1].solve(F))
+        return float(F @ mesh._stiffness_lu.solve(F))
 
     def test_vcycle_cg_matches_the_lu(self, unit_square, monkeypatch):
         # with the size rule lowered the V-cycle smooths on three levels and
@@ -816,6 +821,23 @@ class TestMultigrid:
         res = solve_torsion(mesh, W1, 2.0)
         assert 20 < res.iterations < 200
         assert res.torsion == pytest.approx(self._lu_torsion(mesh), rel=1e-12)
+
+    def test_levels_freed_without_the_cycle_collector(self, unit_square):
+        # the V-cycle's operators must not hold the levels in a reference
+        # cycle: with the cyclic collector off, dropping the mesh frees every
+        # level and the arrays it cached, the V-cycle's K, omega / diag K and P
+        meshes = _refined_times(triangulate(unit_square, 1.0 / 24), 2)
+        gc.collect()
+        gc.disable()
+        try:
+            assert solve_torsion(meshes[-1], W1, 2.0).iterations > 1
+            refs = [weakref.ref(obj) for mesh in meshes for obj in (
+                [mesh] + [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
+                + [v.data for v in vars(mesh).values() if sp.issparse(v)])]
+            del meshes
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "_MAX_CG_ITERS", 20)
