@@ -203,6 +203,9 @@ def _run(args) -> int:
         poly, _ = _load_polygon(args.shape)
         body = metrics(poly)
         h = args.h if args.h is not None else body.inradius / 12.0
+        # the ladder's coarsest size 4 h must lie below the inradius R
+        if not (0.0 < h < body.inradius / 4.0):
+            raise ValueError(f"--h {h!r} must lie in (0, R/4), and R/4 = {body.inradius / 4.0!r}")
         w1 = WeightProfile.constant(1.0)
         rich = richardson_T(poly, w1, args.p, [4 * h, 2 * h, h])
         if args.p == 2.0:

@@ -3,13 +3,15 @@
 The torsion energy J(u) = (1/p) int |grad u|^p - int f u is minimized over
 piecewise-linear fields vanishing on the boundary. A mesh lists its
 n_boundary boundary nodes first, so the free (interior) nodes are the slice
-nodes[n_boundary:] and every field is solved for on that slice. The free
-nodes of every mesh come in one nested-dissection elimination order,
-computed from the mesh's edges (_dissection_order), and the stiffness
-matrix is factorized in that order. At p = 2 the linear system is solved
-directly, or, on a refined mesh with more than _MG_MIN_FREE free nodes, by
-conjugate gradients preconditioned with one multigrid V-cycle over the
-mesh's ancestors (_solve_p2). Otherwise a preconditioned nonlinear
+nodes[n_boundary:] and every field is solved for on that slice. A mesh
+keeps its nodes in the order it builds them; the elimination order of its
+stiffness matrix, a nested-dissection order computed from the mesh's edges
+(_dissection_order), is computed only when the LU is factorized
+(Mesh._stiffness_lu), so a mesh whose LU is never factorized never orders
+its nodes. At p = 2 the linear system is solved directly, or, on a refined
+mesh with more than _MG_MIN_FREE free nodes, by conjugate gradients
+preconditioned with one multigrid V-cycle over the mesh's ancestors
+(_solve_p2). Otherwise a preconditioned nonlinear
 conjugate gradient iteration is used, warm-started from the scaled linear
 solution. The iteration carries the slopes G x and the load term F . x of
 its iterate. Its line search is a safeguarded Newton search on the convex
@@ -93,11 +95,12 @@ class Mesh:
     """Immutable triangle mesh of a convex polygon and its P1 operators.
 
     The first n_boundary nodes lie on the boundary; the rest are the free
-    nodes, in elimination order. The areas, the gradient operator, the
-    stiffness matrix and its LU are built on first use and cached, so every
-    (weight, p) solve shares them. A mesh made by _refined holds the mesh it
-    refines as parent and the prolongation P from the parent's free nodes to
-    its own; a triangulated mesh holds None in both.
+    nodes, in the order the mesh was built in (triangulate, _refined). The
+    areas, the gradient operator, the stiffness matrix and its LU are built
+    on first use and cached, so every (weight, p) solve shares them. A mesh
+    made by _refined holds the mesh it refines as parent and the
+    prolongation P from the parent's free nodes to its own; a triangulated
+    mesh holds None in both.
     """
 
     polygon: ConvexPolygon
@@ -156,14 +159,19 @@ class Mesh:
 
     @cached_property
     def _stiffness_lu(self):
-        """The sparse LU of K_ff, one per mesh.
+        """The sparse LU of K_ff, one per mesh; it has solve and nnz.
 
-        K_ff is symmetric positive definite, so the LU needs no pivoting.
-        The free nodes come in nested-dissection order, and the LU keeps
-        that order: it permutes no column.
+        K_ff is symmetric positive definite, so the LU needs no pivoting. It
+        factorizes K_ff with its rows and columns permuted into
+        _dissection_order, which is computed here from the mesh's edges, and
+        solves through that permutation.
         """
-        return splu(self._stiffness, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
+        nb = self.n_boundary
+        order = _dissection_order(self.nodes[nb:], _free_edges(self.triangles, nb))
+        K = self._stiffness
+        lu = splu(K[order][:, order], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        return _PermutedLU(lu, order, np.argsort(order))
 
     @cached_property
     def _jacobi(self) -> np.ndarray:
@@ -181,6 +189,23 @@ class Mesh:
             w = r * (K @ (r * v))
             lam, v = float(v @ w), w
         return (1.3 / lam) * r * r
+
+
+@dataclass(frozen=True)
+class _PermutedLU:
+    """The LU of K[order][:, order], solving K x = b; rank inverts order."""
+
+    lu: object
+    order: np.ndarray
+    rank: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.lu.nnz
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        # a gather costs less than a scatter into x[order]
+        return self.lu.solve(b[self.order])[self.rank]
 
 
 def _mesh_points(polygon: ConvexPolygon, h: float):
@@ -305,17 +330,6 @@ def _free_edges(triangles: np.ndarray, n_bnd: int):
     return i[keep], j[keep]
 
 
-def _numbered(nodes: np.ndarray, triangles: np.ndarray, n_bnd: int):
-    """nodes and triangles with the free nodes in _dissection_order, and that
-    order as indices into the free nodes given."""
-    order = _dissection_order(nodes[n_bnd:], _free_edges(triangles, n_bnd))
-    new = np.empty(len(nodes), dtype=np.int64)
-    new[:n_bnd] = np.arange(n_bnd)
-    new[n_bnd + order] = np.arange(n_bnd, len(nodes))
-    nodes = np.vstack([nodes[:n_bnd], nodes[n_bnd:][order]])
-    return nodes, np.ascontiguousarray(new[triangles], dtype=np.int32), order
-
-
 def _delaunay_triangles(pts: np.ndarray, h: float, lattice) -> np.ndarray:
     """A Delaunay triangulation of pts, the deep lattice triangles in closed
     form and qhull's on the rest.
@@ -400,8 +414,8 @@ def _smoothed(polygon: ConvexPolygon, pts: np.ndarray, simplices: np.ndarray, n_
 
 
 def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
-    """Delaunay mesh with target edge length h, boundary nodes first and the
-    free nodes in nested-dissection order (_dissection_order).
+    """Delaunay mesh with target edge length h: the boundary nodes first,
+    then the kept lattice points row by row as the free nodes.
 
     Each polygon edge is subdivided at spacing <= 0.9 h; these points are
     the mesh's first n_boundary nodes. The points of an interior hexagonal
@@ -440,8 +454,8 @@ def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
     scale2 = h * h
     simplices = simplices[np.abs(cross) > 1e-12 * scale2]
 
-    pts, simplices, _ = _numbered(pts, simplices, n_bnd)
-    mesh = Mesh(polygon=polygon, nodes=pts, triangles=simplices, n_boundary=n_bnd, h=h)
+    mesh = Mesh(polygon=polygon, nodes=pts, triangles=simplices.astype(np.int32),
+                n_boundary=n_bnd, h=h)
     if abs(float(np.sum(mesh.triangle_areas)) - body.area) > 1e-9 * body.area:
         raise TooFine("triangulation does not tile the polygon")  # pragma: no cover
     return mesh
@@ -454,11 +468,12 @@ def _refined(coarse: Mesh) -> Mesh:
     (m_ab, b, m_bc), (m_ca, m_bc, c) and (m_ab, m_bc, m_ca), with the
     parent's orientation. The midpoint of a boundary edge (an edge of one
     triangle) lies on a polygon edge and is a boundary node: the boundary
-    nodes are coarse's, then those midpoints. The free nodes, coarse's and
-    the other midpoints, follow in _dissection_order. The P1 spaces are
-    nested: the prolongation P is 1 at a kept free node and 1/2 from each
-    free end of a split edge. Raises TooFine when the N + E nodes (N nodes
-    and E edges of coarse) exceed _MAX_NODES.
+    nodes are coarse's, then those midpoints. The free nodes follow:
+    coarse's in their order, then the other midpoints. The P1 spaces are
+    nested: the prolongation P is 1 at a kept free node, so its first rows
+    are the identity, and 1/2 from each free end of a split edge. Raises
+    TooFine when the N + E nodes (N nodes and E edges of coarse) exceed
+    _MAX_NODES.
     """
     N, nb = coarse.node_count, coarse.n_boundary
     pairs = np.sort(coarse.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).astype(np.int64), axis=1)
@@ -469,8 +484,8 @@ def _refined(coarse: Mesh) -> Mesh:
     ends = np.column_stack((keys // N, keys % N))
     on_bnd = count == 1
     nbf = nb + int(on_bnd.sum())
-    # node numbers before the free nodes are ordered: coarse boundary nodes,
-    # boundary midpoints, coarse free nodes, interior midpoints
+    # node numbers: coarse boundary nodes, boundary midpoints, coarse free
+    # nodes, interior midpoints
     mid = np.empty(len(keys), dtype=np.int64)
     mid[on_bnd] = nb + np.arange(nbf - nb)
     mid[~on_bnd] = nbf + (N - nb) + np.arange(len(keys) - (nbf - nb))
@@ -482,8 +497,7 @@ def _refined(coarse: Mesh) -> Mesh:
     triangles = np.stack((np.column_stack((a, m_ab, m_ca)), np.column_stack((m_ab, b, m_bc)),
                           np.column_stack((m_ca, m_bc, c)), np.column_stack((m_ab, m_bc, m_ca))),
                          axis=1).reshape(-1, 3)
-    # P on the free nodes in that numbering: 1 at each kept node, 1/2 from
-    # each free end of an interior midpoint
+    # P: 1 at each kept node, 1/2 from each free end of an interior midpoint
     kept = np.arange(N - nb)
     free_end = (ends[~on_bnd] - nb).ravel()
     live = free_end >= 0
@@ -493,9 +507,8 @@ def _refined(coarse: Mesh) -> Mesh:
           np.concatenate((kept, free_end[live])))),
         shape=(len(nodes) - nbf, len(kept)),
     )
-    nodes, triangles, order = _numbered(nodes, triangles, nbf)
-    return Mesh(polygon=coarse.polygon, nodes=nodes, triangles=triangles, n_boundary=nbf,
-                h=0.5 * coarse.h, parent=coarse, prolongation=P[order])
+    return Mesh(polygon=coarse.polygon, nodes=nodes, triangles=triangles.astype(np.int32),
+                n_boundary=nbf, h=0.5 * coarse.h, parent=coarse, prolongation=P)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ stiffness assembly, a loop over the mesh's edge subdivision points, a loop
 over the Steiner difference quotients, bisection for the theorem 3
 threshold, clipping for the body-rectangle symmetric difference, one qhull
 call on every mesh point, np.add.at sums, a minimum-degree LU, full lattice
-rows, a ladder of independently triangulated meshes) so the two can act as
-mutual checks. The mesh-quality probes (angle range, longest edge) measure
-meshes that the library builds but never inspects.
+rows, a ladder of independently triangulated meshes, meshes numbered and
+factorized in nested-dissection order) so the two can act as mutual checks.
+The mesh-quality probes (angle range, longest edge) measure meshes that the
+library builds but never inspects.
 """
 import math
 from collections import deque
@@ -20,7 +21,7 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay
 
-from webtorsion.solver import triangulate
+from webtorsion.solver import Mesh, _dissection_order, _free_edges, triangulate
 
 
 def torsion_rectangle_series(a: float, b: float, terms: int = 400) -> float:
@@ -301,6 +302,27 @@ def splu_minimum_degree(K):
     pivoting, on a minimum-degree ordering of K + K^T in symmetric mode."""
     return splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
+
+
+def numbered_mesh(mesh):
+    """mesh with its free nodes renumbered in _dissection_order and its LU
+    factorized in that numbering with no column permutation: the meshes that
+    triangulate and _refined built when every mesh was numbered once, at
+    build time, for its LU. A refined mesh keeps its parent, and its
+    prolongation's rows follow the new numbering."""
+    nb = mesh.n_boundary
+    order = _dissection_order(mesh.nodes[nb:], _free_edges(mesh.triangles, nb))
+    new = np.empty(mesh.node_count, dtype=np.int64)
+    new[:nb] = np.arange(nb)
+    new[nb + order] = np.arange(nb, mesh.node_count)
+    P = mesh.prolongation
+    numbered = Mesh(polygon=mesh.polygon, nodes=np.vstack([mesh.nodes[:nb], mesh.nodes[nb + order]]),
+                    triangles=new[mesh.triangles].astype(np.int32), n_boundary=nb, h=mesh.h,
+                    parent=mesh.parent, prolongation=None if P is None else P[order])
+    # the LU cached as the mesh's own, as Mesh._stiffness_lu built it then
+    vars(numbered)["_stiffness_lu"] = splu(numbered._stiffness, permc_spec="NATURAL",
+                                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return numbered
 
 
 def p2_field_minimum_degree(mesh, weight) -> np.ndarray:

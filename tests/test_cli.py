@@ -107,6 +107,17 @@ def test_fuzz_grid_checked_before_the_sweep(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 0
 
 
+def test_deficit_h_checked_against_a_quarter_of_the_inradius(tmp_path, capsys):
+    # rectangle(0.5) has inradius 0.25; the ladder's coarsest size is 4 h
+    path = tmp_path / "rect.json"
+    path.write_text(json.dumps({"shape": "rectangle", "l": 0.5}))
+    R4 = metrics(_polygon(path)).inradius / 4.0
+    for h in ("0.1", "0.0625", "0", "-0.01", "nan"):
+        assert cli_dispatch(["deficit", str(path), "--h", h]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --h {float(h)!r} must lie in (0, R/4), and R/4 = {R4!r}\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert cli_dispatch(["geometry", "/nonexistent/shape.json"]) == 1
 

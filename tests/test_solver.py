@@ -20,6 +20,7 @@ from oracles import (
     kept_lattice_rows,
     load_vector_add_at,
     max_edge_length,
+    numbered_mesh,
     p2_field_minimum_degree,
     smoothing_sweep_add_at,
     splu_minimum_degree,
@@ -55,20 +56,6 @@ def _recomputed_state(res):
     J = float(np.sum(area * s ** (p / 2.0))) / p - float(F @ x)
     grad = G.T @ (np.tile(area * s ** ((p - 2.0) / 2.0), 2) * g) - F
     return J, float(np.linalg.norm(grad)), float(np.linalg.norm(F))
-
-
-def _point_numbers(mesh, points):
-    """For each node of mesh, the index of the same point in points, which
-    holds the mesh's boundary nodes in place and its free nodes in another
-    order."""
-    nb = mesh.n_boundary
-    assert mesh.nodes[:nb].tobytes() == points[:nb].tobytes()
-    a, b = mesh.nodes[nb:], points[nb:]
-    ia, ib = np.lexsort(a.T), np.lexsort(b.T)
-    assert a[ia].tobytes() == b[ib].tobytes()
-    index = np.empty(len(a), dtype=np.int64)
-    index[ia] = ib
-    return np.concatenate((np.arange(nb), nb + index))
 
 
 class TestTriangulate:
@@ -144,7 +131,7 @@ class TestTriangulate:
         # on the same points before smoothing, one qhull call on every point
         # gives the same triangles up to flips of cocircular quadrilaterals
         # (only rectangle(0.1) has one, at 8e-12 h^4), and then the same
-        # nodes up to the order of the smoothing sums
+        # nodes, in the same numbering, up to the order of the smoothing sums
         c, s = math.cos(0.3), math.sin(0.3)
         rotated = polygon_from_vertices(
             [(c * x - s * y, s * x + c * y) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]])
@@ -154,18 +141,13 @@ class TestTriangulate:
         for poly, h in cases:
             pts, nb, lattice = solver_mod._mesh_points(poly, h)
             mesh = triangulate(poly, h)
-            # the mesh's triangles on the points' own numbering, which the
-            # free nodes' elimination order permutes
-            smoothed = solver_mod._smoothed(
-                poly, pts, solver_mod._delaunay_triangles(pts, h, lattice), nb, 0.32 * h)
-            back = _point_numbers(mesh, smoothed)
             nodes, tris = full_delaunay_mesh(poly, pts, nb, h)
-            differ, gap = delaunay_tie_gap(pts, back[mesh.triangles], tris, h)
+            differ, gap = delaunay_tie_gap(pts, mesh.triangles, tris, h)
             assert gap <= 1e-10
             if differ:
                 ties += 1
             else:
-                assert np.abs(mesh.nodes - nodes[back]).max() <= 1e-12 * h
+                assert np.abs(mesh.nodes - nodes).max() <= 1e-12 * h
         assert ties <= 1
 
     def test_without_deep_points_qhull_meshes_every_node(self, unit_square, monkeypatch):
@@ -195,8 +177,8 @@ class TestTriangulate:
             assert a.triangles.tobytes() == b.triangles.tobytes()
 
     def test_free_nodes_permute_the_kept_lattice(self, unit_square, small_corpus):
-        # the kept lattice points come row by row; the mesh holds them, after
-        # smoothing, in the nested-dissection order of its free edges
+        # the kept lattice points come row by row, and the mesh's free nodes
+        # are those points after smoothing, in the same order
         cases = [(unit_square, 1.0 / 64), (disk(1.0, 256)[0], 0.02), (rectangle(0.1)[0], 0.0125),
                  (small_corpus[1], metrics(small_corpus[1]).inradius / 4.0)]
         for poly, h in cases:
@@ -207,10 +189,8 @@ class TestTriangulate:
             smoothed = solver_mod._smoothed(
                 poly, pts, solver_mod._delaunay_triangles(pts, h, lattice), nb, 0.32 * h)
             mesh = triangulate(poly, h)
-            assert mesh.nodes[:nb].tobytes() == smoothed[:nb].tobytes()
-            free, ref = mesh.nodes[nb:], smoothed[nb:]
-            assert not np.array_equal(free, ref)
-            assert np.array_equal(free[np.lexsort(free.T)], ref[np.lexsort(ref.T)])
+            assert mesh.n_boundary == nb
+            assert mesh.nodes.tobytes() == smoothed.tobytes()
 
     def test_identity_order_below_one_leaf(self, unit_square):
         # 4 free nodes, fewer than one leaf box holds, and none at all
@@ -309,18 +289,22 @@ class TestDiscretization:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "poly, h",
+        "poly, h, refinements",
         [
-            (polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0 / 64),
-            (disk(1.0, 256)[0], 1.0 / 24),
-            (rectangle(0.1)[0], 0.05 / 4),
-            (rectangle(0.05)[0], 0.025 / 4),
+            (polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0 / 64, 0),
+            (disk(1.0, 256)[0], 1.0 / 24, 0),
+            (rectangle(0.1)[0], 0.05 / 4, 0),
+            (rectangle(0.05)[0], 0.025 / 4, 0),
+            (polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0 / 32, 1),
+            (disk(1.0, 256)[0], 1.0 / 24, 1),
         ],
-        ids=["square", "disk", "rectangle", "thin_rectangle"],
+        ids=["square", "disk", "rectangle", "thin_rectangle", "refined_square", "refined_disk"],
     )
-    def test_lu_solves_stiffness(self, poly, h):
-        # no pivoting: K_ff is symmetric positive definite
-        mesh = triangulate(poly, h)
+    def test_lu_solves_stiffness(self, poly, h, refinements):
+        # no pivoting: K_ff is symmetric positive definite; the refined
+        # square (7,317 free nodes) and disk (12,877) lie on either side of
+        # _MG_MIN_FREE
+        mesh = _refined_times(triangulate(poly, h), refinements)[-1]
         K, lu = mesh._stiffness, mesh._stiffness_lu
         b = np.random.default_rng(0).standard_normal(K.shape[0])
         assert np.linalg.norm(K @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
@@ -337,6 +321,40 @@ class TestDiscretization:
         refined = solver_mod._refined(solver_mod._refined(triangulate(unit_square, 1.0 / 24)))
         for mesh in (triangulate(unit_square, 1.0 / 96), refined):
             assert mesh._stiffness_lu.nnz < splu_minimum_degree(mesh._stiffness).nnz
+
+    def test_ordering_chosen_at_factorization(self, monkeypatch):
+        # a p = 2 ladder factorizes only its root, so only the root's free
+        # nodes are ordered; a p = 3 solve on its 1/96 level orders that
+        # level, once, and a p = 1.5 solve reuses its LU
+        calls = []
+        real = solver_mod._dissection_order
+        monkeypatch.setattr(solver_mod, "_dissection_order",
+                            lambda points, edges: calls.append(len(points)) or real(points, edges))
+        square = _fresh_square()
+        richardson_T(square, W1, 2.0, [1 / 48, 1 / 96, 1 / 192])
+        root, mesh = solver_mod._ladder(square, 1 / 48, 2)[:2]
+        free = [m.node_count - m.n_boundary for m in (root, mesh)]
+        assert calls == free[:1]
+        solve_torsion(mesh, W1, 3.0)
+        solve_torsion(mesh, W1, 1.5)
+        assert calls == free
+
+    @pytest.mark.parametrize("case", ["square", "disk", "corpus"])
+    def test_same_torsion_as_numbered_meshes(self, case, small_corpus):
+        # the meshes numbered at build time in nested-dissection order and
+        # factorized in it: the same T at every p, to the solvers' accuracy;
+        # the refined square is solved by V-cycle CG at p = 2
+        mesh = {
+            "square": lambda: solver_mod._refined(triangulate(_fresh_square(), 1.0 / 48)),
+            "disk": lambda: triangulate(disk(1.0, 256)[0], 0.04),
+            "corpus": lambda: solver_mod._refined(
+                triangulate(small_corpus[3], metrics(small_corpus[3]).inradius / 4.0)),
+        }[case]()
+        numbered = numbered_mesh(mesh)
+        assert not np.array_equal(numbered.nodes, mesh.nodes)
+        for p, rel in ((1.5, 1e-9), (2.0, 1e-12), (3.0, 1e-9)):
+            T, T_numbered = (solve_torsion(m, W1, p).torsion for m in (mesh, numbered))
+            assert T == pytest.approx(T_numbered, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("case", ["square", "disk", "rectangle", "corpus"])
     def test_p2_matches_minimum_degree_route(self, case, small_corpus):
@@ -753,6 +771,26 @@ class TestRefinement:
                 coarse.nodes[: coarse.n_boundary].tobytes())
             assert np.all(np.abs(poly.signed_distance(fine.nodes[:nb])) <= 1e-12)
             assert np.all(poly.signed_distance(fine.nodes[nb:]) > 1e-6 * fine.h)
+
+    def test_four_block_node_layout(self, coarse_meshes):
+        # coarse boundary nodes, boundary midpoints, coarse free nodes,
+        # interior midpoints; P is the identity on the coarse free nodes
+        for coarse in coarse_meshes:
+            fine = solver_mod._refined(coarse)
+            nb, nf = coarse.n_boundary, coarse.node_count - coarse.n_boundary
+            nodes = fine.nodes
+            assert nodes[:nb].tobytes() == coarse.nodes[:nb].tobytes()
+            assert nodes[fine.n_boundary:fine.n_boundary + nf].tobytes() == (
+                coarse.nodes[nb:].tobytes())
+            pairs = np.sort(coarse.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+            edges, count = np.unique(pairs, axis=0, return_counts=True)
+            halves = 0.5 * (coarse.nodes[edges[:, 0]] + coarse.nodes[edges[:, 1]])
+            for got, want in ((nodes[nb:fine.n_boundary], halves[count == 1]),
+                              (nodes[fine.n_boundary + nf:], halves[count == 2])):
+                assert len(got) == len(want)
+                assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+            P = fine.prolongation
+            assert abs(P[:nf] - sp.identity(nf)).max() == 0.0
 
     def test_prolongation_reproduces_the_coarse_field(self, coarse_meshes):
         rng = np.random.default_rng(3)
