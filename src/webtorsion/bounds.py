@@ -33,14 +33,14 @@ from .parallel import ParallelProfile
 
 def q_exponent(p: float) -> float:
     """Conjugate-type exponent q = p/(p-1)."""
-    if p <= 1.0:
+    if not (p > 1.0):
         raise BadExponent(f"p = {p!r} must exceed 1")
     return p / (p - 1.0)
 
 
 def c_p(p: float) -> float:
     """Sharp constant (p-1)/(2p-1) of the thinning-cylinder limit."""
-    if p <= 1.0:
+    if not (p > 1.0):
         raise BadExponent(f"p = {p!r} must exceed 1")
     return (p - 1.0) / (2.0 * p - 1.0)
 

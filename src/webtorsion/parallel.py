@@ -125,7 +125,7 @@ def inner_body(polygon: ConvexPolygon, t: float):
     The loop is clipped by the edge half-planes pushed inward by t and cleaned
     by the rule that builds every polygon (``geometry._canonicalize``).
     """
-    if t < 0.0:
+    if not (t >= 0.0):
         raise ValueError("depth t must be non-negative")
     if t == 0.0:
         return polygon

@@ -33,7 +33,7 @@ K_TILDE_BASIS = "min(sigma/8, 1/384), reconstructed constant"
 
 def K_of_p(p: float) -> float:
     """Explicit constant (p-1) p / (2^{p/(p-1)} 3 (3p-2) (2p-1)); K(2) = 1/72."""
-    if p <= 1.0:
+    if not (p > 1.0):
         raise BadExponent(f"p = {p!r} must exceed 1")
     return (p - 1.0) * p / (2.0 ** q_exponent(p) * 3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0))
 

@@ -4,11 +4,8 @@ The torsion energy J(u) = (1/p) int |grad u|^p - int f u is minimized over
 piecewise-linear fields vanishing on the boundary. A mesh lists its
 n_boundary boundary nodes first, so the free (interior) nodes are the slice
 nodes[n_boundary:] and every field is solved for on that slice. A mesh
-keeps its nodes in the order it builds them; the elimination order of its
-stiffness matrix, a nested-dissection order computed from the mesh's edges
-(_dissection_order), is computed only when the LU is factorized
-(Mesh._stiffness_lu), so a mesh whose LU is never factorized never orders
-its nodes. At p = 2 the linear system is solved directly, or, on a refined
+keeps its nodes in the order it builds them. At p = 2 the linear system is
+solved by the mesh's sparse LU, or, on a refined
 mesh with more than _MG_MIN_FREE free nodes, by conjugate gradients
 preconditioned with one multigrid V-cycle over the mesh's ancestors
 (_solve_p2). Otherwise a preconditioned nonlinear
@@ -75,8 +72,6 @@ _MAX_ITERS = 100_000
 _MAX_TRIAL_STEPS = 60
 # gradient regularization scale, relative to the body diameter
 _EPS_REG = 1e-10
-# free nodes per leaf box of the nested-dissection order, at most on average
-_LEAF = 32
 # p = 2 solves on a refined mesh with more free nodes than this run V-cycle
 # CG; smaller meshes, and every V-cycle's coarsest level, use the LU
 _MG_MIN_FREE = 1 << 13
@@ -159,19 +154,10 @@ class Mesh:
 
     @cached_property
     def _stiffness_lu(self):
-        """The sparse LU of K_ff, one per mesh; it has solve and nnz.
-
-        K_ff is symmetric positive definite, so the LU needs no pivoting. It
-        factorizes K_ff with its rows and columns permuted into
-        _dissection_order, which is computed here from the mesh's edges, and
-        solves through that permutation.
-        """
-        nb = self.n_boundary
-        order = _dissection_order(self.nodes[nb:], _free_edges(self.triangles, nb))
-        K = self._stiffness
-        lu = splu(K[order][:, order], permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        return _PermutedLU(lu, order, np.argsort(order))
+        """SuperLU's LU of K_ff, one per mesh. K_ff is symmetric positive
+        definite, so it is factorized in symmetric mode without pivoting, in
+        SuperLU's own COLAMD order."""
+        return splu(self._stiffness, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     @cached_property
     def _jacobi(self) -> np.ndarray:
@@ -189,23 +175,6 @@ class Mesh:
             w = r * (K @ (r * v))
             lam, v = float(v @ w), w
         return (1.3 / lam) * r * r
-
-
-@dataclass(frozen=True)
-class _PermutedLU:
-    """The LU of K[order][:, order], solving K x = b; rank inverts order."""
-
-    lu: object
-    order: np.ndarray
-    rank: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return self.lu.nnz
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        # a gather costs less than a scatter into x[order]
-        return self.lu.solve(b[self.order])[self.rank]
 
 
 def _mesh_points(polygon: ConvexPolygon, h: float):
@@ -263,71 +232,6 @@ def _mesh_points(polygon: ConvexPolygon, h: float):
     node[kept] = n_bnd + np.arange(len(kept))
     pts = np.vstack([boundary_pts, lattice[kept]])
     return pts, n_bnd, (lo[0], lo[1], first, stop, node)
-
-
-def _dissection_order(points: np.ndarray, edges) -> np.ndarray:
-    """Nested-dissection order of the nodes at points, joined by edges (two
-    arrays of indices into points), as a permutation of their indices.
-
-    Their bounding box is bisected at its midpoint along its longer side
-    D = ceil(log2(n / _LEAF)) times. The boxes of one level are congruent, so
-    the axis of each split is global and a node's path through the boxes is
-    a D-bit code. An edge whose ends' codes first differ at some split
-    crosses that split's line, and its end nearer the line (the first end
-    on a tie) belongs to that split's separator; a node on several
-    separators belongs to the coarsest. Separators come after both halves
-    they separate (post-order), and the nodes of one leaf box or one
-    separator keep their order. At most _LEAF nodes keep theirs.
-    """
-    n = len(points)
-    if n <= _LEAF:
-        return np.arange(n)
-    depth = math.ceil(math.log2(n / _LEAF))
-    lo = points.min(axis=0)
-    side = points.max(axis=0) - lo
-    axes, halved = [], side.tolist()
-    for _ in range(depth):
-        axes.append(int(halved[1] > halved[0]))
-        halved[axes[-1]] /= 2.0
-    # per axis: the splits along it, and each node's box index among the
-    # 2^splits boxes; the code interleaves their bits in level order
-    splits = [axes.count(a) for a in (0, 1)]
-    rank = [axes[:lvl].count(a) for lvl, a in enumerate(axes)]  # earlier splits on its axis
-    box = np.zeros((2, n), dtype=np.int64)
-    code = np.zeros(n, dtype=np.int64)
-    for lvl, a in enumerate(axes):
-        if rank[lvl] == 0:
-            cells = 1 << splits[a]
-            box[a] = np.minimum((points[:, a] - lo[a]) / side[a] * cells, cells - 1)
-        code |= ((box[a] >> (splits[a] - 1 - rank[lvl])) & 1) << (depth - 1 - lvl)
-    i, j = edges
-    differ = code[i] ^ code[j]
-    cut = differ > 0
-    i, j, differ = i[cut], j[cut], differ[cut]
-    bit = np.frexp(differ)[1] - 1  # the first split the edge crosses, from the low end
-    lvl = depth - 1 - bit
-    a = np.array(axes)[lvl]
-    # the split's line: its upper half starts at the larger (rank + 1)-bit box prefix
-    prefix_bits = np.array(rank)[lvl] + 1
-    upper = np.maximum(box[a, i], box[a, j]) >> (np.array(splits)[a] - prefix_bits)
-    line = lo[a] + side[a] * (upper / 2.0 ** prefix_bits)
-    near_i = np.abs(points[i, a] - line) <= np.abs(points[j, a] - line)
-    sep = np.where(near_i, i, j)
-    tail = np.zeros(n, dtype=np.int64)  # D - the separator's level, 0 in a leaf
-    np.maximum.at(tail, sep, bit + 1)
-    # a separator node takes the key of its box's last leaf, then sorts
-    # after the deeper separators that share it
-    return np.argsort((code | ((1 << tail) - 1)) * (depth + 1) + tail, kind="stable")
-
-
-def _free_edges(triangles: np.ndarray, n_bnd: int):
-    """The edges between two free nodes, once each, as two arrays of free-node
-    indices. Such an edge is interior, so it lies in two triangles, and the
-    triangles' common orientation runs it once from its lower end."""
-    i = triangles - n_bnd
-    j = i[:, [1, 2, 0]]
-    keep = (i >= 0) & (j > i)
-    return i[keep], j[keep]
 
 
 def _delaunay_triangles(pts: np.ndarray, h: float, lattice) -> np.ndarray:
@@ -749,10 +653,12 @@ def rayleigh_check(result: TorsionResult) -> float:
     """Rayleigh-type quotient of the discrete solution.
 
     (int f u)^{p/(p-1)} / (int |grad u|^p)^{1/(p-1)}; at the discrete
-    optimum this equals the computed torsion up to solver tolerance, and for
-    any field it is a valid lower bound for the true torsion. The field is
-    read on the free nodes: it vanishes on the boundary. The weight and p are
-    the result's own.
+    optimum this equals the computed torsion up to solver tolerance. The
+    numerator is the load vector's f at the centroids (_load_vector), which
+    is exact only for a constant weight: then the quotient of any field is a
+    guaranteed lower bound for the true torsion, and otherwise it is a
+    quadrature estimate of one. The field is read on the free nodes: it
+    vanishes on the boundary. The weight and p are the result's own.
     """
     mesh, p = result.mesh, result.p
     x = result.u[mesh.n_boundary:]

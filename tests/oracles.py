@@ -21,7 +21,10 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay
 
-from webtorsion.solver import Mesh, _dissection_order, _free_edges, triangulate
+from webtorsion.solver import Mesh, triangulate
+
+# free nodes per leaf box of the nested-dissection order, at most on average
+_LEAF = 32
 
 
 def torsion_rectangle_series(a: float, b: float, terms: int = 400) -> float:
@@ -304,11 +307,76 @@ def splu_minimum_degree(K):
                 options={"SymmetricMode": True})
 
 
+def _dissection_order(points: np.ndarray, edges) -> np.ndarray:
+    """Nested-dissection order of the nodes at points, joined by edges (two
+    arrays of indices into points), as a permutation of their indices.
+
+    Their bounding box is bisected at its midpoint along its longer side
+    D = ceil(log2(n / _LEAF)) times. The boxes of one level are congruent, so
+    the axis of each split is global and a node's path through the boxes is
+    a D-bit code. An edge whose ends' codes first differ at some split
+    crosses that split's line, and its end nearer the line (the first end
+    on a tie) belongs to that split's separator; a node on several
+    separators belongs to the coarsest. Separators come after both halves
+    they separate (post-order), and the nodes of one leaf box or one
+    separator keep their order. At most _LEAF nodes keep theirs.
+    """
+    n = len(points)
+    if n <= _LEAF:
+        return np.arange(n)
+    depth = math.ceil(math.log2(n / _LEAF))
+    lo = points.min(axis=0)
+    side = points.max(axis=0) - lo
+    axes, halved = [], side.tolist()
+    for _ in range(depth):
+        axes.append(int(halved[1] > halved[0]))
+        halved[axes[-1]] /= 2.0
+    # per axis: the splits along it, and each node's box index among the
+    # 2^splits boxes; the code interleaves their bits in level order
+    splits = [axes.count(a) for a in (0, 1)]
+    rank = [axes[:lvl].count(a) for lvl, a in enumerate(axes)]  # earlier splits on its axis
+    box = np.zeros((2, n), dtype=np.int64)
+    code = np.zeros(n, dtype=np.int64)
+    for lvl, a in enumerate(axes):
+        if rank[lvl] == 0:
+            cells = 1 << splits[a]
+            box[a] = np.minimum((points[:, a] - lo[a]) / side[a] * cells, cells - 1)
+        code |= ((box[a] >> (splits[a] - 1 - rank[lvl])) & 1) << (depth - 1 - lvl)
+    i, j = edges
+    differ = code[i] ^ code[j]
+    cut = differ > 0
+    i, j, differ = i[cut], j[cut], differ[cut]
+    bit = np.frexp(differ)[1] - 1  # the first split the edge crosses, from the low end
+    lvl = depth - 1 - bit
+    a = np.array(axes)[lvl]
+    # the split's line: its upper half starts at the larger (rank + 1)-bit box prefix
+    prefix_bits = np.array(rank)[lvl] + 1
+    upper = np.maximum(box[a, i], box[a, j]) >> (np.array(splits)[a] - prefix_bits)
+    line = lo[a] + side[a] * (upper / 2.0 ** prefix_bits)
+    near_i = np.abs(points[i, a] - line) <= np.abs(points[j, a] - line)
+    sep = np.where(near_i, i, j)
+    tail = np.zeros(n, dtype=np.int64)  # D - the separator's level, 0 in a leaf
+    np.maximum.at(tail, sep, bit + 1)
+    # a separator node takes the key of its box's last leaf, then sorts
+    # after the deeper separators that share it
+    return np.argsort((code | ((1 << tail) - 1)) * (depth + 1) + tail, kind="stable")
+
+
+def _free_edges(triangles: np.ndarray, n_bnd: int):
+    """The edges between two free nodes, once each, as two arrays of free-node
+    indices. Such an edge is interior, so it lies in two triangles, and the
+    triangles' common orientation runs it once from its lower end."""
+    i = triangles - n_bnd
+    j = i[:, [1, 2, 0]]
+    keep = (i >= 0) & (j > i)
+    return i[keep], j[keep]
+
+
 def numbered_mesh(mesh):
     """mesh with its free nodes renumbered in _dissection_order and its LU
     factorized in that numbering with no column permutation: the meshes that
     triangulate and _refined built when every mesh was numbered once, at
-    build time, for its LU. A refined mesh keeps its parent, and its
+    build time, for a nested-dissection LU. A refined mesh keeps its parent, and its
     prolongation's rows follow the new numbering."""
     nb = mesh.n_boundary
     order = _dissection_order(mesh.nodes[nb:], _free_edges(mesh.triangles, nb))

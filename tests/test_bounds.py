@@ -44,6 +44,9 @@ def test_constants():
         c_p(1.0)
     with pytest.raises(BadExponent):
         q_exponent(0.5)
+    for f in (c_p, q_exponent):
+        with pytest.raises(BadExponent):
+            f(math.nan)
 
 
 class TestIntegralBound:

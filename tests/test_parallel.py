@@ -103,8 +103,9 @@ class TestInnerBody:
             assert m.perimeter == pytest.approx(3.0 * (1.0 - t / R), rel=1e-9)
 
     def test_negative_depth_rejected(self, unit_square):
-        with pytest.raises(ValueError):
-            inner_body(unit_square, -0.1)
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                inner_body(unit_square, t)
 
 
 class TestProfile:

@@ -35,8 +35,9 @@ class TestConstants:
         assert K_of_p(10.0) == pytest.approx(
             90.0 / (2.0 ** (10.0 / 9.0) * 3.0 * 28.0 * 19.0), rel=1e-12
         )
-        with pytest.raises(BadExponent):
-            K_of_p(1.0)
+        for p in (1.0, math.nan):
+            with pytest.raises(BadExponent):
+                K_of_p(p)
 
     def test_sigma_binding_constraint(self):
         sigma = sigma_threshold()

@@ -55,9 +55,12 @@ class TestRectangle:
             assert np.all(np.diff(vals) < 0)
 
     def test_bad_parameter(self):
-        for l in (0.0, -0.5, 1.0, 2.0):
+        for l in (0.0, -0.5, 1.0, 2.0, math.nan):
             with pytest.raises(BadParameter):
                 rectangle(l)
+        for args in ((math.nan, 2.0), (0.1, math.nan), (0.1, 2.0, math.nan)):
+            with pytest.raises(BadParameter):
+                slab_upper_bound(*args)
 
 
 class TestCylinder:
@@ -73,6 +76,9 @@ class TestCylinder:
     def test_requires_boundary_measure_above_two(self):
         with pytest.raises(BadParameter):
             cylinder_perimeter(0.1, 3)
+        for args in ((math.nan, 2), (0.1, math.nan, 4.0), (0.1, 3, math.nan)):
+            with pytest.raises(BadParameter):
+                cylinder_perimeter(*args)
 
     def test_torsion_perimeter_product_limit(self):
         # 2 c_p l^{-1} (l/2)^{(2p-1)/(p-1)} P^q -> c_p (1 + l^{n/(n-1)} H/2)^q
@@ -162,8 +168,9 @@ class TestDisk:
             for p in (1.2, 1.5, 2.0, 3.0, 7.0):
                 for R in (1.0, 0.7):
                     assert torsion_p_ball(p, R, n) == pytest.approx(torsion_disk_exact(p, R, n), rel=1e-10)
-        with pytest.raises(BadParameter):
-            torsion_p_ball(2.0, 1.0, 1)
+        for args in ((2.0, 1.0, 1), (math.nan,), (2.0, math.nan), (2.0, 1.0, math.nan)):
+            with pytest.raises(BadParameter):
+                torsion_p_ball(*args)
 
     def test_point_count_capped(self, monkeypatch):
         monkeypatch.setattr(shapes_mod, "_MAX_POINTS", 100)

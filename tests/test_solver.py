@@ -6,12 +6,16 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from oracles import (
     T_DISK_P15,
     T_DISK_P2,
     T_DISK_P3,
     T_UNIT_SQUARE,
+    _LEAF,
+    _dissection_order,
+    _free_edges,
     angle_range_degrees,
     boundary_subdivision_loop,
     delaunay_tie_gap,
@@ -23,7 +27,6 @@ from oracles import (
     numbered_mesh,
     p2_field_minimum_degree,
     smoothing_sweep_add_at,
-    splu_minimum_degree,
     stiffness_coo,
     torsion_rectangle_series,
 )
@@ -197,16 +200,16 @@ class TestTriangulate:
         mesh = triangulate(unit_square, 0.49)
         pts, nb, _ = solver_mod._mesh_points(unit_square, 0.49)
         assert len(pts) == nb + 4 and mesh.n_boundary == nb
-        edges = solver_mod._free_edges(mesh.triangles, nb)
-        assert np.array_equal(solver_mod._dissection_order(mesh.nodes[nb:], edges), np.arange(4))
+        edges = _free_edges(mesh.triangles, nb)
+        assert np.array_equal(_dissection_order(mesh.nodes[nb:], edges), np.arange(4))
         none = np.zeros(0, dtype=np.int64)
-        assert len(solver_mod._dissection_order(np.zeros((0, 2)), (none, none))) == 0
+        assert len(_dissection_order(np.zeros((0, 2)), (none, none))) == 0
 
     def test_free_edges_once_each(self, unit_square):
         for mesh in (triangulate(unit_square, 1.0 / 16),
                      solver_mod._refined(triangulate(disk(1.0, 256)[0], 0.2))):
             nb = mesh.n_boundary
-            i, j = solver_mod._free_edges(mesh.triangles, nb)
+            i, j = _free_edges(mesh.triangles, nb)
             pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1) - nb
             ref = np.unique(pairs[pairs.min(axis=1) >= 0], axis=0)
             assert np.all(i < j)
@@ -220,8 +223,10 @@ class TestTriangulate:
         h = 0.95 * metrics(poly).inradius
         pts, nb, _ = solver_mod._mesh_points(poly, h)
         assert len(np.unique(pts[nb:, 1])) == 1
-        assert len(pts) - nb > solver_mod._LEAF
+        assert len(pts) - nb > _LEAF
         mesh = triangulate(poly, h)
+        order = _dissection_order(mesh.nodes[nb:], _free_edges(mesh.triangles, nb))
+        assert np.array_equal(np.sort(order), np.arange(len(pts) - nb))
         assert float(np.sum(mesh.triangle_areas)) == pytest.approx(metrics(poly).area, rel=1e-12)
         ref = p2_field_minimum_degree(mesh, W1)
         u = solve_torsion(mesh, W1, 2.0).u
@@ -312,32 +317,11 @@ class TestDiscretization:
     def test_symmetric_ordering_fills_less_than_colamd(self, unit_square):
         from scipy.sparse.linalg import splu
 
+        # both in COLAMD order: the LU's diagonal pivots in symmetric mode
+        # fill less than splu's default partial pivoting
         mesh = triangulate(unit_square, 1.0 / 96)
         K, lu = mesh._stiffness, mesh._stiffness_lu
         assert lu.nnz < splu(K).nnz
-
-    def test_nested_dissection_fills_less_than_minimum_degree(self, unit_square):
-        # the edge-based order, on a triangulated and on a refined mesh
-        refined = solver_mod._refined(solver_mod._refined(triangulate(unit_square, 1.0 / 24)))
-        for mesh in (triangulate(unit_square, 1.0 / 96), refined):
-            assert mesh._stiffness_lu.nnz < splu_minimum_degree(mesh._stiffness).nnz
-
-    def test_ordering_chosen_at_factorization(self, monkeypatch):
-        # a p = 2 ladder factorizes only its root, so only the root's free
-        # nodes are ordered; a p = 3 solve on its 1/96 level orders that
-        # level, once, and a p = 1.5 solve reuses its LU
-        calls = []
-        real = solver_mod._dissection_order
-        monkeypatch.setattr(solver_mod, "_dissection_order",
-                            lambda points, edges: calls.append(len(points)) or real(points, edges))
-        square = _fresh_square()
-        richardson_T(square, W1, 2.0, [1 / 48, 1 / 96, 1 / 192])
-        root, mesh = solver_mod._ladder(square, 1 / 48, 2)[:2]
-        free = [m.node_count - m.n_boundary for m in (root, mesh)]
-        assert calls == free[:1]
-        solve_torsion(mesh, W1, 3.0)
-        solve_torsion(mesh, W1, 1.5)
-        assert calls == free
 
     @pytest.mark.parametrize("case", ["square", "disk", "corpus"])
     def test_same_torsion_as_numbered_meshes(self, case, small_corpus):
@@ -859,6 +843,17 @@ class TestMultigrid:
         res = solve_torsion(mesh, W1, 2.0)
         assert 20 < res.iterations < 200
         assert res.torsion == pytest.approx(self._lu_torsion(mesh), rel=1e-12)
+
+    def test_smoother_below_two(self, unit_square):
+        # V-cycle CG needs omega lambda_max(D^-1 K_ff) < 2; lambda_max of
+        # D^-1 K_ff scaled by omega is that of the symmetric W^1/2 K_ff W^1/2,
+        # W = omega / diag(K_ff), and omega's power estimate lies below it
+        bad = _refined_times(triangulate(disk(1.0, 256)[0], 0.32), 3)
+        for mesh in (solver_mod._refined(triangulate(unit_square, 1.0 / 48)),
+                     solver_mod._refined(triangulate(disk(1.0, 256)[0], 0.04)), bad[2], bad[3]):
+            w = sp.diags(np.sqrt(mesh._jacobi))
+            lam = eigsh(w @ mesh._stiffness @ w, k=1, which="LA", return_eigenvectors=False)[0]
+            assert 1.3 < lam < 2.0
 
     def test_levels_freed_without_the_cycle_collector(self, unit_square):
         # the V-cycle's operators must not hold the levels in a reference
