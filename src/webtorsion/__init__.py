@@ -60,7 +60,6 @@ from .solver import (
     Mesh,
     RichardsonResult,
     TorsionResult,
-    rayleigh_check,
     richardson_T,
     solve_torsion,
     triangulate,
@@ -100,7 +99,6 @@ __all__ = [
     "profile",
     "q_exponent",
     "random_convex_body",
-    "rayleigh_check",
     "rectangle",
     "richardson_T",
     "run_sequence",

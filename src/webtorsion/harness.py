@@ -232,11 +232,7 @@ def run_sequence(
     unit-area member. The solver runs a 3-level ratio-2 refinement ladder
     with finest size inradius / SEQUENCE_MESH_DIVISOR.
     """
-    makers = {
-        "rectangle": lambda l: rectangle(l),
-        "triangle": lambda l: isosceles_triangle(l),
-        "stadium": lambda l: stadium_of_width(l),
-    }
+    makers = {"rectangle": rectangle, "triangle": isosceles_triangle, "stadium": stadium_of_width}
     if kind not in makers:
         raise ValueError(f"unknown sequence kind {kind!r}")
     weight = WeightProfile.constant(1.0)

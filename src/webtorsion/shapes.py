@@ -109,8 +109,8 @@ class TriangleRecord:
 
 def isosceles_triangle(l: float):
     """Unit-area isosceles triangle of height l; returns (polygon, record)."""
-    if l <= 0.0:
-        raise BadParameter(f"triangle parameter l = {l!r} must be positive")
+    if not (0.0 < l < math.inf):
+        raise BadParameter(f"triangle parameter l = {l!r} must be finite and positive")
     base = 2.0 / l
     leg = math.hypot(base / 2.0, l)
     perimeter = base + 2.0 * leg
@@ -144,8 +144,8 @@ class StadiumRecord:
 
 def stadium(r: float, a: float, k: int = 256):
     """Polygonal stadium with k arc points per cap; returns (polygon, record)."""
-    if r <= 0.0 or a < 0.0:
-        raise BadParameter("need r > 0 and a >= 0")
+    if not (0.0 < r < math.inf and 0.0 <= a < math.inf):
+        raise BadParameter(f"need finite r > 0 and a >= 0, got r = {r!r}, a = {a!r}")
     if k < 64:
         raise BadParameter(f"need at least 64 arc points per cap, got {k}")
     if k > _MAX_POINTS:
@@ -182,8 +182,8 @@ class DiskRecord:
 
 def disk(radius: float = 1.0, k: int = 256):
     """Regular k-gon inscribed in the disk; returns (polygon, record)."""
-    if radius <= 0.0:
-        raise BadParameter("need radius > 0")
+    if not (0.0 < radius < math.inf):
+        raise BadParameter(f"need a finite radius > 0, got {radius!r}")
     if k < 64:
         raise BadParameter(f"need at least 64 vertices, got {k}")
     if k > _MAX_POINTS:

@@ -27,11 +27,20 @@ for the gradient and one LU solve. When the energy stop fires, G x and
 F . x are recomputed from the iterate and the stop must hold for the
 recomputed energy too, so a result's energy and gradient are those of its
 field. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
-and sum area |grad u|^p for the iteration, its warm start and
-rayleigh_check. A mesh builds its gradient operator, stiffness matrix, LU
-and smoother once, on first use, and the transpose of the gradient operator
-on its first nonlinear solve; every solve on it, for any p and weight,
-shares them.
+and sum area |grad u|^p for the iteration and its warm start. A mesh builds
+its gradient operator, stiffness matrix, LU and smoother once, on first
+use, and the transpose of the gradient operator on its first nonlinear
+solve; every solve on it, for any p and weight, shares them.
+
+A solve reports one torsion value: the Rayleigh quotient of its own field,
+T = (F . x)^{p/(p-1)} / D^{1/(p-1)} with D the Dirichlet sum, which is the
+product x . K_ff x the p = 2 solve forms anyway, or the sum the nonlinear
+iteration recomputes when it stops. The quotient is stationary at the
+discrete minimizer, so its error is second order in the field's. The loads
+put f at the centroids, which is exact for a constant weight: then every P1
+field is admissible for the continuous problem and T is a guaranteed lower
+bound for the polygon's torsion, up to roundoff. For other weights it is a
+quadrature estimate of one.
 
 richardson_T builds nested ladders: it triangulates its coarsest h only,
 and each finer level splits every triangle of the one before into four
@@ -417,7 +426,15 @@ def _refined(coarse: Mesh) -> Mesh:
 
 @dataclass(frozen=True)
 class TorsionResult:
-    """Converged discrete solution and its derived quantities."""
+    """Converged discrete solution and its derived quantities.
+
+    torsion is the Rayleigh quotient (int f u)^{p/(p-1)} / (int |grad
+    u|^p)^{1/(p-1)} of the field u, with f at the triangle centroids, and 0
+    when the Dirichlet integral is 0. For a constant weight it is a
+    guaranteed lower bound for the polygon's torsion; for other weights, a
+    quadrature estimate. energy is J(u), iterations the solver's count and
+    grad_norm the norm of the energy gradient at u.
+    """
 
     mesh: Mesh
     u: np.ndarray
@@ -458,7 +475,9 @@ def _dirichlet(mesh: Mesh, g: np.ndarray, p: float, eps2: float = 0.0):
 
 def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     """Preconditioned nonlinear CG from the linear solution x: returns the
-    minimizer on the free nodes, its energy, gradient and iteration count."""
+    minimizer on the free nodes, its Dirichlet sum
+    sum area (|grad x|^2 + eps2)^(p/2), its load term F . x, its energy
+    gradient and the iteration count."""
     G, GT = mesh._gradient, mesh._gradient_T
     lu = mesh._stiffness_lu
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
@@ -544,10 +563,11 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
             # result is the energy and gradient of the returned field, and
             # stop only if the recomputed energy settled too
             Gx, Fx = G @ x, float(F @ x)
-            s, e, J = energy(Gx, Fx)
+            s, e, dirichlet = _dirichlet(mesh, Gx, p, eps2)
+            J = dirichlet / p - Fx
             history[-1] = J
             if history[-11] - J < tol * abs(J):
-                return x, J, gradient(Gx, s, e), n_iter
+                return x, dirichlet, Fx, gradient(Gx, s, e), n_iter
         g_new = gradient(Gx, s, e)
         z_new = lu.solve(g_new)
         gz_new = float(g_new @ z_new)
@@ -628,6 +648,12 @@ def solve_torsion(
     relative energy decrease stays below tol over 10 successive iterations.
     tol must be finite and positive. Raises NoConvergence when the line
     search or an iteration cap runs out.
+
+    The result's torsion is the quotient (F . x)^{p/(p-1)} / D^{1/(p-1)} of
+    the returned field x, D its Dirichlet sum: x . K_ff x at p = 2, and at
+    other p the nonlinear iteration's final sum, whose regularization eps2
+    only raises D. For a constant weight it is a guaranteed lower bound for
+    the polygon's torsion, and otherwise a quadrature estimate of it.
     """
     if not (P_MIN <= p <= P_MAX):
         raise BadExponent(f"p = {p!r} outside the supported range [{P_MIN:g}, {P_MAX:g}]")
@@ -641,33 +667,13 @@ def solve_torsion(
     if p == 2.0:
         x, iterations = _solve_p2(mesh, F)
         Kx = mesh._stiffness @ x
-        J, residual = 0.5 * float(x @ Kx) - float(F @ x), Kx - F
+        dirichlet, Fx, residual = float(x @ Kx), float(F @ x), Kx - F
     else:
-        x, J, residual, iterations = _ncg(mesh, F, p, tol, mesh._stiffness_lu.solve(F))
+        x, dirichlet, Fx, residual, iterations = _ncg(mesh, F, p, tol, mesh._stiffness_lu.solve(F))
     u[mesh.n_boundary:] = x
-    return TorsionResult(mesh, u, p, weight, J, float(F @ x), iterations,
-                         float(np.linalg.norm(residual)))
-
-
-def rayleigh_check(result: TorsionResult) -> float:
-    """Rayleigh-type quotient of the discrete solution.
-
-    (int f u)^{p/(p-1)} / (int |grad u|^p)^{1/(p-1)}; at the discrete
-    optimum this equals the computed torsion up to solver tolerance. The
-    numerator is the load vector's f at the centroids (_load_vector), which
-    is exact only for a constant weight: then the quotient of any field is a
-    guaranteed lower bound for the true torsion, and otherwise it is a
-    quadrature estimate of one. The field is read on the free nodes: it
-    vanishes on the boundary. The weight and p are the result's own.
-    """
-    mesh, p = result.mesh, result.p
-    x = result.u[mesh.n_boundary:]
-    num = float(_load_vector(mesh, result.weight) @ x)
-    dirichlet = _dirichlet(mesh, mesh._gradient @ x, p)[2]
-    if dirichlet <= 0.0:
-        return 0.0
-    q = p / (p - 1.0)
-    return num**q / dirichlet ** (1.0 / (p - 1.0))
+    J = dirichlet / p - Fx
+    T = Fx ** (p / (p - 1.0)) / dirichlet ** (1.0 / (p - 1.0)) if dirichlet > 0.0 else 0.0
+    return TorsionResult(mesh, u, p, weight, J, T, iterations, float(np.linalg.norm(residual)))
 
 
 @dataclass(frozen=True)

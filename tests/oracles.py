@@ -8,7 +8,8 @@ over the Steiner difference quotients, bisection for the theorem 3
 threshold, clipping for the body-rectangle symmetric difference, one qhull
 call on every mesh point, np.add.at sums, a minimum-degree LU, full lattice
 rows, a ladder of independently triangulated meshes, meshes numbered and
-factorized in nested-dissection order) so the two can act as mutual checks.
+factorized in nested-dissection order, a Rayleigh quotient from per-triangle
+edge vectors) so the two can act as mutual checks.
 The mesh-quality probes (angle range, longest edge) measure meshes that the
 library builds but never inspects.
 """
@@ -412,6 +413,25 @@ def load_vector_add_at(mesh, weight) -> np.ndarray:
     for i in range(3):
         np.add.at(F, mesh.triangles[:, i], contrib)
     return F[mesh.n_boundary:]
+
+
+def rayleigh_quotient(mesh, weight, p: float, u) -> float:
+    """(int f u)^{p/(p-1)} / (int |grad u|^p)^{1/(p-1)} of the P1 field u,
+    given on every node and 0 on the boundary: the loads of
+    load_vector_add_at, and each triangle's slope from its edge vectors.
+    0 when the Dirichlet integral is not positive."""
+    v = mesh.nodes[mesh.triangles]
+    x, y = v[:, :, 0], v[:, :, 1]
+    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area2 = np.sum(x * bx, axis=1)
+    w = np.asarray(u)[mesh.triangles]
+    gx, gy = np.sum(bx * w, axis=1) / area2, np.sum(by * w, axis=1) / area2
+    dirichlet = float(np.sum(0.5 * area2 * (gx * gx + gy * gy) ** (p / 2.0)))
+    if dirichlet <= 0.0:
+        return 0.0
+    num = float(load_vector_add_at(mesh, weight) @ np.asarray(u)[mesh.n_boundary:])
+    return num ** (p / (p - 1.0)) / dirichlet ** (1.0 / (p - 1.0))
 
 
 def delaunay_tie_gap(pts, tri_a, tri_b, h: float):

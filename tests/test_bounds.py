@@ -235,7 +235,7 @@ def test_public_names():
         "classical_inequality_suite", "cylinder_perimeter", "disk", "enclosing_rectangle",
         "functional_F", "functional_H_half", "fuzz_suite", "inner_body",
         "isosceles_triangle", "k_tilde", "makai_upper", "metrics", "polygon_from_vertices",
-        "profile", "q_exponent", "random_convex_body", "rayleigh_check", "rectangle",
+        "profile", "q_exponent", "random_convex_body", "rectangle",
         "richardson_T", "run_sequence", "scale", "sigma_threshold", "slab_upper_bound",
         "solve_torsion", "stadium", "steiner_check", "theorem2_report", "theorem3_report",
         "torsion_p_ball", "triangulate",
@@ -247,6 +247,9 @@ def test_public_names():
     assert not hasattr(webtorsion.harness, "corpus")
     assert not hasattr(webtorsion.Mesh, "min_angle_degrees")
     assert not hasattr(webtorsion.Mesh, "max_edge")
+    # a solve's torsion is its field's Rayleigh quotient; the quotient kernel
+    # lives on only as tests/oracles.py's rayleigh_quotient
+    assert not hasattr(webtorsion.solver, "rayleigh_check")
     for name in (
         "inf_weight_lower", "web_lower_closed", "web_lower_integral",
         "web_lower_refined", "web_lower_refined_general",

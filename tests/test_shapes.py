@@ -118,6 +118,11 @@ class TestTriangle:
         _, rec = isosceles_triangle(0.2)
         assert rec.deficit_floor == pytest.approx(1.0 / 6.0)
 
+    def test_bad_parameter(self):
+        for l in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(BadParameter, match="triangle parameter"):
+                isosceles_triangle(l)
+
 
 class TestStadium:
     def test_record_and_santalo_equality(self):
@@ -140,8 +145,10 @@ class TestStadium:
         assert m.width == pytest.approx(rec.width, rel=1e-3)
 
     def test_validation(self):
-        with pytest.raises(BadParameter):
-            stadium(0.0, 1.0)
+        for r, a in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                     (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(BadParameter, match="need finite r > 0"):
+                stadium(r, a)
         with pytest.raises(BadParameter):
             stadium(1.0, 1.0, 32)
         with pytest.raises(BadParameter):
@@ -171,6 +178,11 @@ class TestDisk:
         for args in ((2.0, 1.0, 1), (math.nan,), (2.0, math.nan), (2.0, 1.0, math.nan)):
             with pytest.raises(BadParameter):
                 torsion_p_ball(*args)
+
+    def test_bad_radius(self):
+        for radius in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(BadParameter, match="radius"):
+                disk(radius)
 
     def test_point_count_capped(self, monkeypatch):
         monkeypatch.setattr(shapes_mod, "_MAX_POINTS", 100)
@@ -212,5 +224,8 @@ class TestDescriptor:
     def test_unknown_rejected(self):
         with pytest.raises(BadParameter):
             from_descriptor({"shape": "pentagon"})
+        # JSON's NaN reaches the disk's guard, not the polygon check
+        with pytest.raises(BadParameter, match="radius"):
+            from_descriptor(json.loads('{"shape": "disk", "R": NaN}'))
         with pytest.raises(BadParameter):
             from_descriptor([1, 2])
