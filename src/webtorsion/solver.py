@@ -4,15 +4,15 @@ The torsion energy J(u) = (1/p) int |grad u|^p - int f u is minimized over
 piecewise-linear fields vanishing on the boundary. A mesh lists its
 n_boundary boundary nodes first, so the free (interior) nodes are the slice
 nodes[n_boundary:] and every field is solved for on that slice. A mesh
-keeps its nodes in the order it builds them. At p = 2 the linear system is
-solved by the mesh's sparse LU, or, on a refined
-mesh with more than _MG_MIN_FREE free nodes, by conjugate gradients
-preconditioned with one multigrid V-cycle over the mesh's ancestors
-(_solve_p2). Otherwise a preconditioned nonlinear
-conjugate gradient iteration is used, warm-started from the scaled linear
-solution. The iteration carries the slopes G x and the load term F . x of
-its iterate. Its line search is a safeguarded Newton search on the convex
-phi(a) = J(x + a d): with G d and F . d formed once per search direction, a
+keeps its nodes in the order it builds them. One size rule (_multigrid)
+sets how K_ff is inverted on a mesh at every p: by its sparse LU, or, on a
+refined mesh with more than _MG_MIN_FREE free nodes, by one multigrid
+V-cycle over its ancestors. Every solve first solves p = 2 (_solve_p2), by
+the LU or by V-cycle CG. At other p a nonlinear conjugate gradient
+iteration, preconditioned with the same inverse, continues from the scaled
+p = 2 solution, carrying its iterate's slopes G x and load term F . x. Its
+line search is a safeguarded Newton search on the convex phi(a) =
+J(x + a d): with G d and F . d formed once per search direction, a
 trial at step a has slopes G x + a G d and load term F . x + a F . d, and
 phi'(a) and phi''(a) follow from those slopes per triangle, so a trial needs
 no sparse product. The first trial is the Newton step from a = 0, read from
@@ -23,14 +23,14 @@ less than half as far as the last trial, and bisects (or doubles while hi is
 unbounded) otherwise. When the bracket shrinks to 1e-6 of hi it accepts lo, a
 descent step by convexity. The accepted trial's slopes and energy become the
 new iterate's. So an iteration makes one product G d, one product G^T (w G x)
-for the gradient and one LU solve. When the energy stop fires, G x and
-F . x are recomputed from the iterate and the stop must hold for the
+for the gradient and one LU solve or V-cycle. When the energy stop fires,
+G x and F . x are recomputed from the iterate and the stop must hold for the
 recomputed energy too, so a result's energy and gradient are those of its
 field. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
 and sum area |grad u|^p for the iteration and its warm start. A mesh builds
-its gradient operator, stiffness matrix, LU and smoother once, on first
-use, and the transpose of the gradient operator on its first nonlinear
-solve; every solve on it, for any p and weight, shares them.
+its gradient operator, stiffness matrix, LU or smoother once, on first use,
+and the transpose of the gradient operator on its first nonlinear solve;
+every solve on it, for any p and weight, shares them.
 
 A solve reports one torsion value: the Rayleigh quotient of its own field,
 T = (F . x)^{p/(p-1)} / D^{1/(p-1)} with D the Dirichlet sum, which is the
@@ -81,8 +81,8 @@ _MAX_ITERS = 100_000
 _MAX_TRIAL_STEPS = 60
 # gradient regularization scale, relative to the body diameter
 _EPS_REG = 1e-10
-# p = 2 solves on a refined mesh with more free nodes than this run V-cycle
-# CG; smaller meshes, and every V-cycle's coarsest level, use the LU
+# a refined mesh with more free nodes than this is inverted by a V-cycle at
+# every p; smaller meshes, and every V-cycle's coarsest level, use the LU
 _MG_MIN_FREE = 1 << 13
 # V-cycle CG: relative residual to reach, and the iteration cap
 _CG_RTOL = 1e-12
@@ -104,7 +104,8 @@ class Mesh:
     on first use and cached, so every (weight, p) solve shares them. A mesh
     made by _refined holds the mesh it refines as parent and the
     prolongation P from the parent's free nodes to its own; a triangulated
-    mesh holds None in both.
+    mesh holds None in both. A refined mesh above _MG_MIN_FREE free nodes
+    never builds its own LU (_multigrid).
     """
 
     polygon: ConvexPolygon
@@ -432,8 +433,9 @@ class TorsionResult:
     u|^p)^{1/(p-1)} of the field u, with f at the triangle centroids, and 0
     when the Dirichlet integral is 0. For a constant weight it is a
     guaranteed lower bound for the polygon's torsion; for other weights, a
-    quadrature estimate. energy is J(u), iterations the solver's count and
-    grad_norm the norm of the energy gradient at u.
+    quadrature estimate. energy is J(u), grad_norm the norm of the energy
+    gradient at u, and iterations the p = 2 solve's count (1 for an LU
+    solve) at p = 2, or else the nonlinear iteration's steps.
     """
 
     mesh: Mesh
@@ -474,12 +476,12 @@ def _dirichlet(mesh: Mesh, g: np.ndarray, p: float, eps2: float = 0.0):
 
 
 def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
-    """Preconditioned nonlinear CG from the linear solution x: returns the
-    minimizer on the free nodes, its Dirichlet sum
-    sum area (|grad x|^2 + eps2)^(p/2), its load term F . x, its energy
-    gradient and the iteration count."""
+    """Nonlinear CG from the p = 2 solution x, preconditioned by the mesh's
+    inverse of K_ff (_multigrid): returns the minimizer on the free nodes,
+    its Dirichlet sum sum area (|grad x|^2 + eps2)^(p/2), its load term
+    F . x, its energy gradient and the iteration count."""
     G, GT = mesh._gradient, mesh._gradient_T
-    lu = mesh._stiffness_lu
+    levels, lu = _multigrid(mesh)
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
 
     def energy(Gx, Fx):
@@ -508,7 +510,7 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     Gx, Fx = G @ x, float(F @ x)
     s, e, J = energy(Gx, Fx)
     g = gradient(Gx, s, e)
-    z = lu.solve(g)
+    z = _vcycle(g, levels, lu)
     d = -z
     gz = float(g @ z)
     history = [J]
@@ -569,7 +571,7 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
             if history[-11] - J < tol * abs(J):
                 return x, dirichlet, Fx, gradient(Gx, s, e), n_iter
         g_new = gradient(Gx, s, e)
-        z_new = lu.solve(g_new)
+        z_new = _vcycle(g_new, levels, lu)
         gz_new = float(g_new @ z_new)
         beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
         d = -z_new + beta * d
@@ -596,29 +598,30 @@ def _vcycle(r: np.ndarray, levels: list, lu) -> np.ndarray:
     return x
 
 
-def _solve_p2(mesh: Mesh, F: np.ndarray):
-    """x with K_ff x = F, and the iteration count.
-
-    A triangulated mesh, or a refined one with at most _MG_MIN_FREE free
-    nodes, is solved by its LU, in 1 iteration. A larger refined mesh is
-    solved by scipy's conjugate gradients from x = 0, preconditioned by one
-    V-cycle, until the residual falls below _CG_RTOL |F|; NoConvergence is
-    raised after _MAX_CG_ITERS iterations. The V-cycle's levels are mesh
-    and its ancestors down to the first one with at most _MG_MIN_FREE free
-    nodes, or the root mesh; that level is solved by its LU. Each finer
-    level smooths with 2 damped Jacobi sweeps before and 2 after the coarse
-    correction P e, e from the parent's own K_ff, which equals P^T K_ff P
-    for nested P1 spaces. The cycle is a symmetric operator, positive
-    definite while omega lambda_max < 2 (Mesh._jacobi), as CG needs.
-    """
+def _multigrid(mesh: Mesh):
+    """The inverse of K_ff on mesh at every p, as _vcycle's (levels, lu):
+    mesh and its ancestors down to the first that is triangulated or has at
+    most _MG_MIN_FREE free nodes, whose LU solves below them. With no level,
+    that is mesh's own LU."""
     levels = []
-    coarse = mesh
-    while coarse.parent is not None and coarse.node_count - coarse.n_boundary > _MG_MIN_FREE:
+    while mesh.parent is not None and mesh.node_count - mesh.n_boundary > _MG_MIN_FREE:
         # K_ff is symmetric, so its CSC transpose is itself in CSR form,
         # whose products are faster
-        levels.append((coarse._stiffness.T, coarse._jacobi, coarse.prolongation))
-        coarse = coarse.parent
-    lu = coarse._stiffness_lu
+        levels.append((mesh._stiffness.T, mesh._jacobi, mesh.prolongation))
+        mesh = mesh.parent
+    return levels, mesh._stiffness_lu
+
+
+def _solve_p2(mesh: Mesh, F: np.ndarray):
+    """x with K_ff x = F, and the iteration count: with no level
+    (_multigrid), the mesh's LU solve in 1 iteration; otherwise scipy's
+    conjugate gradients from x = 0, preconditioned by one V-cycle, until the
+    residual falls below _CG_RTOL |F|, or NoConvergence after _MAX_CG_ITERS
+    iterations. Each level smooths with 2 damped Jacobi sweeps before and 2
+    after the coarse correction P e, e from the parent's own K_ff, which
+    equals P^T K_ff P for nested P1 spaces. The cycle is symmetric, and
+    positive definite while omega lambda_max < 2 (Mesh._jacobi)."""
+    levels, lu = _multigrid(mesh)
     if not levels:
         return lu.solve(F), 1
     K = levels[0][0]
@@ -639,15 +642,13 @@ def solve_torsion(
 ) -> TorsionResult:
     """Minimize the torsion energy over P1 fields vanishing on the boundary.
 
-    For p = 2 the Galerkin system K_ff x = F is solved by the mesh's sparse
-    LU, or, on a refined mesh with more than _MG_MIN_FREE free nodes, by
-    conjugate gradients preconditioned with one multigrid V-cycle over the
-    mesh's ancestors, to a relative residual of 1e-12 (_solve_p2; its
-    iteration count is the result's). Otherwise preconditioned nonlinear
-    conjugate gradients, with the LU as preconditioner, run until the
-    relative energy decrease stays below tol over 10 successive iterations.
-    tol must be finite and positive. Raises NoConvergence when the line
-    search or an iteration cap runs out.
+    Every p first solves p = 2, K_ff x = F (_solve_p2): by the mesh's LU,
+    or, on a refined mesh above _MG_MIN_FREE free nodes, by V-cycle CG to a
+    relative residual of 1e-12. At other p, nonlinear conjugate gradients
+    preconditioned by the same LU or V-cycle continue from x until the
+    relative energy decrease stays below tol over 10 successive iterations,
+    and count the result's iterations. tol must be finite and positive.
+    Raises NoConvergence when the line search or an iteration cap runs out.
 
     The result's torsion is the quotient (F . x)^{p/(p-1)} / D^{1/(p-1)} of
     the returned field x, D its Dirichlet sum: x . K_ff x at p = 2, and at
@@ -664,12 +665,12 @@ def solve_torsion(
     if len(F) == 0:
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
+    x, iterations = _solve_p2(mesh, F)
     if p == 2.0:
-        x, iterations = _solve_p2(mesh, F)
         Kx = mesh._stiffness @ x
         dirichlet, Fx, residual = float(x @ Kx), float(F @ x), Kx - F
     else:
-        x, dirichlet, Fx, residual, iterations = _ncg(mesh, F, p, tol, mesh._stiffness_lu.solve(F))
+        x, dirichlet, Fx, residual, iterations = _ncg(mesh, F, p, tol, x)
     u[mesh.n_boundary:] = x
     J = dirichlet / p - Fx
     T = Fx ** (p / (p - 1.0)) / dirichlet ** (1.0 / (p - 1.0)) if dirichlet > 0.0 else 0.0
@@ -713,7 +714,8 @@ def richardson_T(
     """Solve on a ratio-2 ladder of nested meshes and extrapolate the torsion.
 
     The coarsest mesh is triangulate(polygon, h_list[0]); each finer level is
-    the one before refined once, at exactly half its h. The spaces are
+    the one before refined once, so each h must be exactly half the one
+    before (h_list[i] == 2.0 * h_list[i + 1]). The spaces are
     nested, so at p = 2 with a constant weight T_h never decreases along the
     ladder. Assumes second-order convergence at p = 2 and fits the observed
     order otherwise; the error estimate is the last increment
@@ -725,13 +727,10 @@ def richardson_T(
     hs = [float(h) for h in h_list]
     if len(hs) < 3:
         raise ValueError("need at least 3 mesh sizes")
-    if not all(h > 0.0 for h in hs):
-        raise ValueError("mesh sizes must be positive")
-    for a, b in zip(hs, hs[1:]):
-        if not (a > b):
-            raise ValueError("mesh sizes must decrease")
-        if abs(a / b - 2.0) > 0.02:
-            raise ValueError("mesh sizes must halve at each step")
+    if not all(0.0 < h < math.inf for h in hs):
+        raise ValueError("mesh sizes must be finite and positive")
+    if any(a != 2.0 * b for a, b in zip(hs, hs[1:])):
+        raise ValueError("each mesh size must be exactly half the one before")
     # finest first: on a new ladder the largest LU is factorized while no
     # other LU of the ladder is alive, which lowers the peak memory
     meshes = _ladder(polygon, hs[0], len(hs))[::-1]

@@ -629,6 +629,9 @@ class TestRichardson:
             richardson_T(unit_square, W1, 2.0, [1 / 16, 1 / 32])
         with pytest.raises(ValueError):
             richardson_T(unit_square, W1, 2.0, [1 / 16, 1 / 24, 1 / 32])
+        # within 2% of halving, but the ladder could only solve exact halves
+        with pytest.raises(ValueError, match="exactly half"):
+            richardson_T(unit_square, W1, 2.0, [0.1, 0.0505, 0.02525])
         with pytest.raises(ValueError, match="positive"):
             richardson_T(unit_square, W1, 2.0, [0.2, 0.1, 0.0])
 
@@ -844,28 +847,37 @@ class TestMultigrid:
             assert res.grad_norm <= 1e-11 * np.linalg.norm(F)
 
     def test_size_rule(self, unit_square):
-        # a refined mesh above 2^13 free nodes takes the V-cycle; its LU is
-        # never built, and the V-cycle's LU is its parent's
+        # a refined mesh above 2^13 free nodes takes the V-cycle at every p;
+        # its LU is never built, and the V-cycle's LU is its parent's
         coarse, mid, fine = _refined_times(triangulate(unit_square, 1.0 / 24), 2)
         assert mid.node_count - mid.n_boundary <= solver_mod._MG_MIN_FREE
         assert fine.node_count - fine.n_boundary > solver_mod._MG_MIN_FREE
+        assert solve_torsion(fine, W1, 3.0).torsion > 0
+        assert "_stiffness_lu" not in fine.__dict__
         res = solve_torsion(fine, W1, 2.0)
         assert res.iterations > 1
         assert "_stiffness_lu" not in fine.__dict__ and "_stiffness_lu" in mid.__dict__
         assert "_stiffness_lu" not in coarse.__dict__
         assert res.torsion == pytest.approx(self._lu_torsion(fine), rel=1e-12)
         assert solve_torsion(mid, W1, 2.0).iterations == 1
-        # p != 2 keeps the LU and the nonlinear iteration
-        assert solve_torsion(fine, W1, 3.0).torsion > 0 and "_stiffness_lu" in fine.__dict__
 
-    def test_bad_angles_converge(self):
+    def test_bad_angles_converge(self, monkeypatch):
         # disk(1, 256) at h = 0.32 has 256 boundary nodes around about 50
         # free ones, and refinement keeps those angles
         mesh = _refined_times(triangulate(disk(1.0, 256)[0], 0.32), 3)[-1]
-        assert mesh.node_count - mesh.n_boundary > solver_mod._MG_MIN_FREE
+        n_free = mesh.node_count - mesh.n_boundary
+        assert n_free > solver_mod._MG_MIN_FREE
         res = solve_torsion(mesh, W1, 2.0)
         assert 20 < res.iterations < 200
         assert res.torsion == pytest.approx(self._lu_torsion(mesh), rel=1e-12)
+        # the nonlinear iteration preconditioned by this weakest V-cycle
+        # converges to the T of the same solve preconditioned by the mesh's
+        # own LU, with the size rule raised to its free count
+        res = solve_torsion(mesh, W1, 3.0)
+        monkeypatch.setattr(solver_mod, "_MG_MIN_FREE", n_free)
+        ref = solve_torsion(mesh, W1, 3.0)
+        assert res.iterations < 200
+        assert res.torsion == pytest.approx(ref.torsion, rel=1e-9, abs=0.0)
 
     def test_smoother_below_two(self, unit_square):
         # V-cycle CG needs omega lambda_max(D^-1 K_ff) < 2; lambda_max of
@@ -881,19 +893,21 @@ class TestMultigrid:
     def test_levels_freed_without_the_cycle_collector(self, unit_square):
         # the V-cycle's operators must not hold the levels in a reference
         # cycle: with the cyclic collector off, dropping the mesh frees every
-        # level and the arrays it cached, the V-cycle's K, omega / diag K and P
-        meshes = _refined_times(triangulate(unit_square, 1.0 / 24), 2)
-        gc.collect()
-        gc.disable()
-        try:
-            assert solve_torsion(meshes[-1], W1, 2.0).iterations > 1
-            refs = [weakref.ref(obj) for mesh in meshes for obj in (
-                [mesh] + [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
-                + [v.data for v in vars(mesh).values() if sp.issparse(v)])]
-            del meshes
-            assert all(r() is None for r in refs)
-        finally:
-            gc.enable()
+        # level and the arrays it cached, the V-cycle's K, omega / diag K and
+        # P, after V-cycle CG at p = 2 and the nonlinear iteration at p = 3
+        for p in (2.0, 3.0):
+            meshes = _refined_times(triangulate(unit_square, 1.0 / 24), 2)
+            gc.collect()
+            gc.disable()
+            try:
+                assert solve_torsion(meshes[-1], W1, p).iterations > 1
+                refs = [weakref.ref(obj) for mesh in meshes for obj in (
+                    [mesh] + [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
+                    + [v.data for v in vars(mesh).values() if sp.issparse(v)])]
+                del meshes
+                assert all(r() is None for r in refs)
+            finally:
+                gc.enable()
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "_MAX_CG_ITERS", 20)
