@@ -19,14 +19,19 @@ from .geometry import ConvexPolygon, polygon_from_vertices
 _MAX_POINTS = 1 << 16
 
 
+def _is_dimension(n) -> bool:
+    """n is an integer >= 2: an int, or a float with no fractional part."""
+    return n >= 2 and float(n).is_integer()
+
+
 def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
     """Upper bound 2 c_p l^{-1} (l/2)^{(2p-1)/(p-1)} for the thinning cylinder.
 
     Comes from comparing with the one-dimensional slab solution; at p = 2 it
     reduces to l^2 / 12.
     """
-    if not (l > 0.0 and p > 1.0 and n >= 2):
-        raise BadParameter("need l > 0, p > 1, n >= 2")
+    if not (0.0 < l < math.inf and 1.0 < p < math.inf and _is_dimension(n)):
+        raise BadParameter("need finite l > 0 and p > 1, and an integer n >= 2")
     gamma = (2.0 * p - 1.0) / (p - 1.0)
     return 2.0 * c_p(p) * (l ** -1.0) * (l / 2.0) ** gamma
 
@@ -37,14 +42,14 @@ def cylinder_perimeter(l: float, n: int, boundary_measure_of_c: float | None = N
     For n = 2 the cross-section C is a unit segment and the boundary measure
     defaults to 2 (its two endpoints).
     """
-    if not (l > 0.0 and n >= 2):
-        raise BadParameter("need l > 0 and n >= 2")
+    if not (0.0 < l < math.inf and _is_dimension(n)):
+        raise BadParameter("need a finite l > 0 and an integer n >= 2")
     if boundary_measure_of_c is None:
         if n != 2:
             raise BadParameter("boundary measure of C required for n >= 3")
         boundary_measure_of_c = 2.0
-    if not (boundary_measure_of_c >= 0.0):
-        raise BadParameter("need a boundary measure of C >= 0")
+    if not (0.0 <= boundary_measure_of_c < math.inf):
+        raise BadParameter("need a finite boundary measure of C >= 0")
     return 2.0 / l + l ** (1.0 / (n - 1.0)) * boundary_measure_of_c
 
 
@@ -55,8 +60,8 @@ def torsion_p_ball(p: float, radius: float = 1.0, n: int = 2) -> float:
     T = |S^{n-1}| (p-1)/p n^{-1/(p-1)} R^{q+n} q / (n (q+n)) with the sphere
     area |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2); T = 4 pi / 45 at p = 2, R = 1, n = 3.
     """
-    if not (p > 1.0 and radius > 0.0 and n >= 2):
-        raise BadParameter("need p > 1, radius > 0 and n >= 2")
+    if not (1.0 < p < math.inf and 0.0 < radius < math.inf and _is_dimension(n)):
+        raise BadParameter("need finite p > 1 and radius > 0, and an integer n >= 2")
     q = q_exponent(p)
     sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     coef = sphere * (p - 1.0) / p * n ** (-1.0 / (p - 1.0))

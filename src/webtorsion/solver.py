@@ -55,21 +55,27 @@ lattice. The lattice triangles whose three points were kept lie deep enough
 inside to be Delaunay triangles in closed form, so its one qhull Delaunay
 call triangulates only the strip of points along the boundary that they do
 not cover.
+
+scipy is imported when the first mesh needs it, so importing the package
+loads numpy only; the module functions Delaunay and splu import scipy's on
+their first call, and the solver calls them through the module's globals, so
+replacing either attribute catches every call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, splu
-from scipy.spatial import Delaunay
 
 from .errors import BadExponent, NoConvergence, NonMonotoneConvergence, TooFine
 from .geometry import ConvexPolygon, metrics
 from .parallel import WeightProfile
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # supported exponent range of the solver and of the CLI's --p options
 P_MIN, P_MAX = 1.1, 10.0
@@ -92,6 +98,20 @@ _POWER_STEPS = 10
 
 # richardson_T's last ladder, coarsest mesh first
 _last_ladder = []
+
+
+def Delaunay(points):
+    """scipy.spatial.Delaunay(points), imported on the first call."""
+    from scipy.spatial import Delaunay
+
+    return Delaunay(points)
+
+
+def splu(A, **kwargs):
+    """scipy.sparse.linalg.splu(A, **kwargs), imported on the first call."""
+    from scipy.sparse.linalg import splu
+
+    return splu(A, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -137,6 +157,8 @@ class Mesh:
         """G with (G x)[t] and (G x)[m + t] the x- and y-slopes in triangle t
         of the P1 field that is x on the free nodes and 0 on the boundary.
         Row t holds triangle t's free vertices in its own vertex order."""
+        import scipy.sparse as sp
+
         v = self.nodes[self.triangles]
         x, y = v[:, :, 0], v[:, :, 1]
         area2 = 2.0 * self.triangle_areas[:, None]
@@ -159,6 +181,8 @@ class Mesh:
     @cached_property
     def _stiffness(self) -> sp.csc_matrix:
         """K_ff = G^T diag(area, area) G, shared by the LU and the V-cycle."""
+        import scipy.sparse as sp
+
         G = self._gradient
         return (G.T @ sp.diags(np.tile(self.triangle_areas, 2)) @ G).tocsc()
 
@@ -389,6 +413,8 @@ def _refined(coarse: Mesh) -> Mesh:
     TooFine when the N + E nodes (N nodes and E edges of coarse) exceed
     _MAX_NODES.
     """
+    import scipy.sparse as sp
+
     N, nb = coarse.node_count, coarse.n_boundary
     pairs = np.sort(coarse.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).astype(np.int64), axis=1)
     keys, edge_of, count = np.unique(pairs[:, 0] * N + pairs[:, 1], return_inverse=True,
@@ -624,6 +650,8 @@ def _solve_p2(mesh: Mesh, F: np.ndarray):
     levels, lu = _multigrid(mesh)
     if not levels:
         return lu.solve(F), 1
+    from scipy.sparse.linalg import LinearOperator, cg
+
     K = levels[0][0]
     vcycle = LinearOperator(K.shape, matvec=lambda r: _vcycle(r, levels, lu), dtype=F.dtype)
     steps = []  # one entry per iteration

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -157,11 +158,36 @@ def test_inradius_matches_tight_lp():
     assert metrics(poly).inradius == pytest.approx(chebyshev_center_lp(poly)[0], rel=1e-12)
 
 
-def test_import_leaves_out_scipy_optimize():
+_SCIPY_AT_EACH_STEP = """
+import contextlib, io, json, sys
+import webtorsion
+from webtorsion.cli import cli_dispatch
+
+loaded = {"import": sorted(m for m in sys.modules if m.startswith("scipy"))}
+optimize = "scipy.optimize" in sys.modules
+for argv in (["geometry", SHAPE], ["profile", SHAPE], ["bound", SHAPE],
+             ["fuzz", "--n", "5", "--grid", "64"], ["solve", SHAPE]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_dispatch(argv) == 0, argv
+    loaded[argv[0]] = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"optimize": optimize, "loaded": loaded}))
+"""
+
+
+def test_import_leaves_out_scipy_optimize(tmp_path):
+    """Importing the package and the commands that build no mesh load no
+    scipy module; the first mesh loads scipy.spatial and scipy.sparse."""
+    shape = tmp_path / "square.json"
+    shape.write_text('{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}')
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(webtorsion.__file__)))
-    code = "import sys, webtorsion; print('scipy.optimize' in sys.modules)"
+    code = f"SHAPE = {str(shape)!r}\n" + _SCIPY_AT_EACH_STEP
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["optimize"] is False
+    loaded = report["loaded"]
+    for step in ("import", "geometry", "profile", "bound", "fuzz"):
+        assert loaded[step] == [], step
+    assert {"scipy.spatial", "scipy.sparse"} <= set(loaded["solve"])
 
 
 def test_isoperimetric_inequality(small_corpus):

@@ -58,7 +58,8 @@ class TestRectangle:
         for l in (0.0, -0.5, 1.0, 2.0, math.nan):
             with pytest.raises(BadParameter):
                 rectangle(l)
-        for args in ((math.nan, 2.0), (0.1, math.nan), (0.1, 2.0, math.nan)):
+        for args in ((math.nan, 2.0), (0.1, math.nan), (0.1, 2.0, math.nan),
+                     (math.inf, 2.0), (0.5, math.inf), (0.1, 2.0, 2.5), (0.1, 2.0, math.inf)):
             with pytest.raises(BadParameter):
                 slab_upper_bound(*args)
 
@@ -76,7 +77,8 @@ class TestCylinder:
     def test_requires_boundary_measure_above_two(self):
         with pytest.raises(BadParameter):
             cylinder_perimeter(0.1, 3)
-        for args in ((math.nan, 2), (0.1, math.nan, 4.0), (0.1, 3, math.nan)):
+        for args in ((math.nan, 2), (0.1, math.nan, 4.0), (0.1, 3, math.nan),
+                     (math.inf, 2), (0.5, 2, math.inf), (0.1, 2.5, 4.0), (0.1, math.inf, 4.0)):
             with pytest.raises(BadParameter):
                 cylinder_perimeter(*args)
 
@@ -175,7 +177,8 @@ class TestDisk:
             for p in (1.2, 1.5, 2.0, 3.0, 7.0):
                 for R in (1.0, 0.7):
                     assert torsion_p_ball(p, R, n) == pytest.approx(torsion_disk_exact(p, R, n), rel=1e-10)
-        for args in ((2.0, 1.0, 1), (math.nan,), (2.0, math.nan), (2.0, 1.0, math.nan)):
+        for args in ((2.0, 1.0, 1), (math.nan,), (2.0, math.nan), (2.0, 1.0, math.nan),
+                     (math.inf, 1.0), (2.0, math.inf), (2.0, 1.0, 2.5), (2.0, 1.0, math.inf)):
             with pytest.raises(BadParameter):
                 torsion_p_ball(*args)
 

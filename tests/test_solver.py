@@ -1,5 +1,9 @@
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -681,6 +685,39 @@ class TestLadderReuse:
         assert built == self.HS[:1]
         assert refined == self.HS[1:]
         assert len(factored) == 3
+
+    def test_scipy_entry_points_wrapped_before_the_first_mesh(self):
+        # what a tracer does: replace solver.Delaunay and solver.splu with
+        # wrappers (getattr, then setattr) right after import, before scipy
+        # is loaded; every later call must go through the wrappers
+        code = """
+import functools, json, sys
+import webtorsion.solver as solver
+from webtorsion.geometry import polygon_from_vertices
+from webtorsion.parallel import WeightProfile
+
+scipy_before = any(m.startswith("scipy") for m in sys.modules)
+calls = {"Delaunay": 0, "splu": 0}
+for name in calls:
+    fn = getattr(solver, name)
+    def traced(*args, _fn=fn, _name=name, **kwargs):
+        calls[_name] += 1
+        return _fn(*args, **kwargs)
+    setattr(solver, name, functools.wraps(fn)(traced))
+square = polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+solver.richardson_T(square, WeightProfile.constant(1.0), 2.0, HS)
+ladder = solver._last_ladder
+print(json.dumps({"scipy_before": scipy_before, "calls": calls, "levels": len(ladder),
+                  "triangulated": sum(m.parent is None for m in ladder),
+                  "factorized": sum("_stiffness_lu" in vars(m) for m in ladder)}))
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(solver_mod.__file__)))
+        out = subprocess.run([sys.executable, "-c", f"HS = {self.HS!r}\n" + code], env=env,
+                             capture_output=True, text=True, check=True)
+        report = json.loads(out.stdout.strip().splitlines()[-1])
+        assert report["scipy_before"] is False
+        assert report["levels"] == 3 and report["triangulated"] == 1 and report["factorized"] == 3
+        assert report["calls"] == {"Delaunay": 1, "splu": 3}
 
     def test_shifted_ladder_starts_afresh(self, monkeypatch):
         # a ladder from another coarsest h shares no mesh with the last one,
