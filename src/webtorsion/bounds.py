@@ -22,6 +22,7 @@ rectangle(0.001) at m = 512 (ROADMAP item 2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,24 +46,43 @@ def c_p(p: float) -> float:
     return (p - 1.0) / (2.0 * p - 1.0)
 
 
+def _exp_in_range(log_value: float, error: type, message: str) -> float:
+    """exp(log_value) for a closed form whose direct evaluation overflowed,
+    or error(message) when the value lies outside double range (0 or inf)."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not (0.0 < value < math.inf):
+        raise error(message)
+    return value
+
+
 def makai_upper(p: float) -> float:
-    """Planar upper window 2^{q+1}/((q+2)(q+1)) for T_p P^q / area^{q+1}."""
+    """Planar upper window 2^{q+1}/((q+2)(q+1)) for T_p P^q / area^{q+1}.
+    Where 2^{q+1} overflows it is evaluated in log space, and BadExponent
+    is raised when p lies so close to 1 that the window exceeds double
+    range."""
     q = q_exponent(p)
-    return 2.0 ** (q + 1.0) / ((q + 2.0) * (q + 1.0))
+    try:
+        return 2.0 ** (q + 1.0) / ((q + 2.0) * (q + 1.0))
+    except OverflowError:
+        return _exp_in_range((q + 1.0) * math.log(2.0) - math.log((q + 2.0) * (q + 1.0)),
+                             BadExponent, f"p = {p!r} is too close to 1 for makai_upper")
 
 
 def functional_F(T: float, body: BodyMetrics, p: float) -> float:
     """Scale-invariant torsion functional T P^q / area^{q+1}."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (0.0 < T < math.inf):
+        raise ValueError("T must be finite and positive")
     q = q_exponent(p)
     return T * body.perimeter**q / body.area ** (q + 1.0)
 
 
 def functional_H_half(T: float, body: BodyMetrics) -> float:
     """Planar functional P T^{1/2} / area^{3/2} (bounded only at exponent 1/2)."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (0.0 < T < math.inf):
+        raise ValueError("T must be finite and positive")
     return body.perimeter * np.sqrt(T) / body.area**1.5
 
 

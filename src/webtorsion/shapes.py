@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import c_p, q_exponent
+from .bounds import _exp_in_range, c_p, q_exponent
 from .errors import BadParameter
 from .geometry import ConvexPolygon, polygon_from_vertices
 
@@ -28,12 +28,18 @@ def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
     """Upper bound 2 c_p l^{-1} (l/2)^{(2p-1)/(p-1)} for the thinning cylinder.
 
     Comes from comparing with the one-dimensional slab solution; at p = 2 it
-    reduces to l^2 / 12.
+    reduces to l^2 / 12. Where a power overflows the bound is evaluated in log
+    space, and BadParameter is raised when it lies outside double range.
     """
     if not (0.0 < l < math.inf and 1.0 < p < math.inf and _is_dimension(n)):
         raise BadParameter("need finite l > 0 and p > 1, and an integer n >= 2")
     gamma = (2.0 * p - 1.0) / (p - 1.0)
-    return 2.0 * c_p(p) * (l ** -1.0) * (l / 2.0) ** gamma
+    try:
+        return 2.0 * c_p(p) * (l ** -1.0) * (l / 2.0) ** gamma
+    except OverflowError:
+        log_bound = math.log(2.0 * c_p(p)) - math.log(l) + gamma * (math.log(l) - math.log(2.0))
+        return _exp_in_range(log_bound, BadParameter,
+                             f"slab bound at l = {l!r}, p = {p!r} lies outside double range")
 
 
 def cylinder_perimeter(l: float, n: int, boundary_measure_of_c: float | None = None) -> float:
@@ -59,13 +65,29 @@ def torsion_p_ball(p: float, radius: float = 1.0, n: int = 2) -> float:
     u(r) = (p-1)/p n^{-1/(p-1)} (R^q - r^q), q = p/(p-1), so
     T = |S^{n-1}| (p-1)/p n^{-1/(p-1)} R^{q+n} q / (n (q+n)) with the sphere
     area |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2); T = 4 pi / 45 at p = 2, R = 1, n = 3.
+
+    Where a factor overflows, T is evaluated in log space as
+    2 pi^{n/2} / Gamma(n/2) R^{n+1} (R/n)^{1/(p-1)} / (n (q+n)), using
+    q = 1 + 1/(p-1), and BadParameter is raised when T lies outside double
+    range.
     """
     if not (1.0 < p < math.inf and 0.0 < radius < math.inf and _is_dimension(n)):
         raise BadParameter("need finite p > 1 and radius > 0, and an integer n >= 2")
     q = q_exponent(p)
-    sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    coef = sphere * (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
-    return coef * radius ** (q + n) * q / (n * (q + n))
+    try:
+        sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        coef = sphere * (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
+        return coef * radius ** (q + n) * q / (n * (q + n))
+    except OverflowError:
+        pass
+    log_r, log_n = math.log(radius), math.log(n)
+    try:
+        log_T = (math.log(2.0) - log_n - math.log(q + n) + n / 2.0 * math.log(math.pi)
+                 - math.lgamma(n / 2.0) + (n + 1.0) * log_r + (log_r - log_n) / (p - 1.0))
+    except OverflowError:  # Gamma(n/2) beyond even log space
+        log_T = math.nan
+    return _exp_in_range(log_T, BadParameter, f"T_p of the {n}-ball of radius {radius!r}"
+                                              f" at p = {p!r} lies outside double range")
 
 
 @dataclass(frozen=True)

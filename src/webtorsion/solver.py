@@ -4,11 +4,11 @@ The torsion energy J(u) = (1/p) int |grad u|^p - int f u is minimized over
 piecewise-linear fields vanishing on the boundary. A mesh lists its
 n_boundary boundary nodes first, so the free (interior) nodes are the slice
 nodes[n_boundary:] and every field is solved for on that slice. A mesh
-keeps its nodes in the order it builds them. One size rule (_multigrid)
+keeps its nodes in the order it builds them. One size rule (_factorized)
 sets how K_ff is inverted on a mesh at every p: by its sparse LU, or, on a
 refined mesh with more than _MG_MIN_FREE free nodes, by one multigrid
-V-cycle over its ancestors. Every solve first solves p = 2 (_solve_p2), by
-the LU or by V-cycle CG. At other p a nonlinear conjugate gradient
+V-cycle that recurses on the mesh's parent (_vcycle). Every solve first
+solves p = 2 (_solve_p2), by the LU or by V-cycle CG. At other p a nonlinear conjugate gradient
 iteration, preconditioned with the same inverse, continues from the scaled
 p = 2 solution, carrying its iterate's slopes G x and load term F . x. Its
 line search is a safeguarded Newton search on the convex phi(a) =
@@ -125,7 +125,7 @@ class Mesh:
     made by _refined holds the mesh it refines as parent and the
     prolongation P from the parent's free nodes to its own; a triangulated
     mesh holds None in both. A refined mesh above _MG_MIN_FREE free nodes
-    never builds its own LU (_multigrid).
+    never builds its own LU (_factorized).
     """
 
     polygon: ConvexPolygon
@@ -503,11 +503,10 @@ def _dirichlet(mesh: Mesh, g: np.ndarray, p: float, eps2: float = 0.0):
 
 def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     """Nonlinear CG from the p = 2 solution x, preconditioned by the mesh's
-    inverse of K_ff (_multigrid): returns the minimizer on the free nodes,
+    inverse of K_ff (_vcycle): returns the minimizer on the free nodes,
     its Dirichlet sum sum area (|grad x|^2 + eps2)^(p/2), its load term
     F . x, its energy gradient and the iteration count."""
     G, GT = mesh._gradient, mesh._gradient_T
-    levels, lu = _multigrid(mesh)
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
 
     def energy(Gx, Fx):
@@ -536,7 +535,7 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     Gx, Fx = G @ x, float(F @ x)
     s, e, J = energy(Gx, Fx)
     g = gradient(Gx, s, e)
-    z = _vcycle(g, levels, lu)
+    z = _vcycle(g, mesh)
     d = -z
     gz = float(g @ z)
     history = [J]
@@ -597,7 +596,7 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
             if history[-11] - J < tol * abs(J):
                 return x, dirichlet, Fx, gradient(Gx, s, e), n_iter
         g_new = gradient(Gx, s, e)
-        z_new = _vcycle(g_new, levels, lu)
+        z_new = _vcycle(g_new, mesh)
         gz_new = float(g_new @ z_new)
         beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
         d = -z_new + beta * d
@@ -605,55 +604,49 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     raise NoConvergence(f"energy minimization did not settle in {_MAX_ITERS} iterations")
 
 
-def _vcycle(r: np.ndarray, levels: list, lu) -> np.ndarray:
-    """One V-cycle on K x = r from x = 0: for levels[0] = (K, omega / diag K,
-    P), 2 damped Jacobi sweeps, the coarse correction P e with e the V-cycle
-    of levels[1:] on the restricted residual P^T (r - K x), and 2 more
-    sweeps; below the last level, lu solves. A recursive closure would be a
-    reference cycle holding the ladder's matrices until the cyclic garbage
-    collector ran, long after the ladder was dropped; this function holds
-    nothing."""
-    if not levels:
-        return lu.solve(r)
-    (K, w, P), coarser = levels[0], levels[1:]
+def _factorized(mesh: Mesh) -> bool:
+    """The size rule, at every p: K_ff is inverted by the mesh's own LU when
+    the mesh was triangulated or has at most _MG_MIN_FREE free nodes, and
+    otherwise by a V-cycle over its parents (_vcycle)."""
+    return mesh.parent is None or mesh.node_count - mesh.n_boundary <= _MG_MIN_FREE
+
+
+def _vcycle(r: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """One V-cycle on K_ff x = r from x = 0. On a factorized mesh, its LU
+    solves. Otherwise 2 damped Jacobi sweeps (Mesh._jacobi), the coarse
+    correction P e with e the V-cycle of the parent on the restricted
+    residual P^T (r - K_ff x), and 2 more sweeps. A recursive closure would
+    be a reference cycle holding the ladder's matrices until the cyclic
+    garbage collector ran, long after the ladder was dropped; this function
+    holds nothing."""
+    if _factorized(mesh):
+        return mesh._stiffness_lu.solve(r)
+    # K_ff is symmetric, so its CSC transpose is itself in CSR form, whose
+    # products are faster
+    K, w, P = mesh._stiffness.T, mesh._jacobi, mesh.prolongation
     x = w * r
     x += w * (r - K @ x)
-    x += P @ _vcycle(P.T @ (r - K @ x), coarser, lu)
+    x += P @ _vcycle(P.T @ (r - K @ x), mesh.parent)
     for _ in range(2):
         x += w * (r - K @ x)
     return x
 
 
-def _multigrid(mesh: Mesh):
-    """The inverse of K_ff on mesh at every p, as _vcycle's (levels, lu):
-    mesh and its ancestors down to the first that is triangulated or has at
-    most _MG_MIN_FREE free nodes, whose LU solves below them. With no level,
-    that is mesh's own LU."""
-    levels = []
-    while mesh.parent is not None and mesh.node_count - mesh.n_boundary > _MG_MIN_FREE:
-        # K_ff is symmetric, so its CSC transpose is itself in CSR form,
-        # whose products are faster
-        levels.append((mesh._stiffness.T, mesh._jacobi, mesh.prolongation))
-        mesh = mesh.parent
-    return levels, mesh._stiffness_lu
-
-
 def _solve_p2(mesh: Mesh, F: np.ndarray):
-    """x with K_ff x = F, and the iteration count: with no level
-    (_multigrid), the mesh's LU solve in 1 iteration; otherwise scipy's
+    """x with K_ff x = F, and the iteration count: on a factorized mesh
+    (_factorized), its LU solve in 1 iteration; otherwise scipy's
     conjugate gradients from x = 0, preconditioned by one V-cycle, until the
     residual falls below _CG_RTOL |F|, or NoConvergence after _MAX_CG_ITERS
     iterations. Each level smooths with 2 damped Jacobi sweeps before and 2
     after the coarse correction P e, e from the parent's own K_ff, which
     equals P^T K_ff P for nested P1 spaces. The cycle is symmetric, and
     positive definite while omega lambda_max < 2 (Mesh._jacobi)."""
-    levels, lu = _multigrid(mesh)
-    if not levels:
-        return lu.solve(F), 1
+    if _factorized(mesh):
+        return mesh._stiffness_lu.solve(F), 1
     from scipy.sparse.linalg import LinearOperator, cg
 
-    K = levels[0][0]
-    vcycle = LinearOperator(K.shape, matvec=lambda r: _vcycle(r, levels, lu), dtype=F.dtype)
+    K = mesh._stiffness.T
+    vcycle = LinearOperator(K.shape, matvec=lambda r: _vcycle(r, mesh), dtype=F.dtype)
     steps = []  # one entry per iteration
     x, info = cg(K, F, rtol=_CG_RTOL, atol=0.0, maxiter=_MAX_CG_ITERS, M=vcycle,
                  callback=steps.append)
@@ -745,8 +738,10 @@ def richardson_T(
     the one before refined once, so each h must be exactly half the one
     before (h_list[i] == 2.0 * h_list[i + 1]). The spaces are
     nested, so at p = 2 with a constant weight T_h never decreases along the
-    ladder. Assumes second-order convergence at p = 2 and fits the observed
-    order otherwise; the error estimate is the last increment
+    ladder. The observed order is log2 of the ratio of the last two
+    increments, or 2 when either lies within 1e-12 |T| of 0, where T is not
+    extrapolated; the extrapolation assumes order 2 at p = 2 and uses the
+    observed order otherwise, and the error estimate is the last increment
     |T_h - T_{h/2}|. The meshes (and their LUs) of the previous call are
     reused when it was on the same polygon object from the same h_list[0];
     otherwise the ladder is built afresh. Either way the result depends
@@ -763,8 +758,7 @@ def richardson_T(
     # other LU of the ladder is alive, which lowers the peak memory
     meshes = _ladder(polygon, hs[0], len(hs))[::-1]
     Ts = [solve_torsion(mesh, weight, p, tol).torsion for mesh in meshes][::-1]
-    diffs = [b - a for a, b in zip(Ts, Ts[1:])]
-    d_prev, d_last = diffs[-2], diffs[-1]
+    d_prev, d_last = Ts[-2] - Ts[-3], Ts[-1] - Ts[-2]
     err = abs(d_last)
     floor = 1e-12 * abs(Ts[-1])
     if abs(d_last) > max(abs(d_prev), floor) or (
@@ -777,15 +771,7 @@ def richardson_T(
         order = 2.0
         extr = Ts[-1]
     else:
-        # least-squares slope of log2 |increments| against the level index;
-        # with only two increments this is their plain log ratio
-        logs = [math.log2(abs(d)) for d in diffs if abs(d) > floor]
-        n = len(logs)
-        xbar = (n - 1) / 2.0
-        ybar = sum(logs) / n
-        order = -sum((i - xbar) * (y - ybar) for i, y in enumerate(logs)) / sum(
-            (i - xbar) ** 2 for i in range(n)
-        )
+        order = math.log2(abs(d_prev)) - math.log2(abs(d_last))
         rate = 2.0**2 if p == 2.0 else 2.0**order
         extr = Ts[-1] + d_last / (rate - 1.0)
     return RichardsonResult(

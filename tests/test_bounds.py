@@ -47,6 +47,14 @@ def test_constants():
     for f in (c_p, q_exponent):
         with pytest.raises(BadExponent):
             f(math.nan)
+    # 2^(q+1) overflows: in log space the window is finite near q = 1030 and
+    # beyond double range as p tends to 1
+    p = 1.00097
+    q = q_exponent(p)
+    expected = (q + 1.0) * math.log10(2.0) - math.log10((q + 2.0) * (q + 1.0))
+    assert math.log10(makai_upper(p)) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(BadExponent):
+        makai_upper(1.0000001)
 
 
 class TestIntegralBound:

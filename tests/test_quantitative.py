@@ -11,6 +11,7 @@ from oracles import (
     symdiff_ratio_clipped,
     torsion_rectangle_series,
 )
+from webtorsion.bounds import functional_F
 from webtorsion.errors import BadExponent, ContainmentFailure
 from webtorsion.geometry import metrics, polygon_from_vertices
 from webtorsion.parallel import WeightProfile
@@ -38,6 +39,15 @@ class TestConstants:
         for p in (1.0, math.nan):
             with pytest.raises(BadExponent):
                 K_of_p(p)
+        # 2^q overflows: in log space K is subnormal near q = 1030 and 0 as p
+        # tends to 1; the direct formula keeps its bits where it is finite
+        assert K_of_p(1.001) == 1.5492393114241529e-305
+        p = 1.00097
+        expected = (math.log10((p - 1.0) * p / (3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0)))
+                    - p / (p - 1.0) * math.log10(2.0))
+        assert math.log10(K_of_p(p)) == pytest.approx(expected, rel=1e-9)
+        with pytest.raises(BadExponent):
+            K_of_p(1.0000001)
 
     def test_sigma_binding_constraint(self):
         sigma = sigma_threshold()
@@ -191,6 +201,14 @@ class TestTheorem3:
             rep = theorem3_report(poly, T, m)
             assert rep.inradius_deficit == pytest.approx(1.0, rel=1e-9)
             assert rep.deficit >= 1.0 / 6.0
+
+    def test_rejects_non_finite_torsion(self, unit_square):
+        body = metrics(unit_square)
+        for T in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                functional_F(T, body, 2.0)
+            with pytest.raises(ValueError, match="finite and positive"):
+                theorem3_report(unit_square, T)
 
     def test_json_payload(self, unit_square):
         rep = theorem3_report(unit_square, T_UNIT_SQUARE)

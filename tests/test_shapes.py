@@ -59,9 +59,18 @@ class TestRectangle:
             with pytest.raises(BadParameter):
                 rectangle(l)
         for args in ((math.nan, 2.0), (0.1, math.nan), (0.1, 2.0, math.nan),
-                     (math.inf, 2.0), (0.5, math.inf), (0.1, 2.0, 2.5), (0.1, 2.0, math.inf)):
+                     (math.inf, 2.0), (0.5, math.inf), (0.1, 2.0, 2.5), (0.1, 2.0, math.inf),
+                     # a power overflows and the bound lies outside double range
+                     (3.0, 1.0000001), (1e-310, 2.0)):
             with pytest.raises(BadParameter):
                 slab_upper_bound(*args)
+        # the bound is c_p (l/2)^q: where (l/2)^gamma overflows but the bound
+        # does not, it is evaluated in log space
+        p = 1.001
+        expected = math.log10(c_p(p)) + q_exponent(p) * math.log10(1.25)
+        assert math.log10(slab_upper_bound(2.5, p)) == pytest.approx(expected, rel=1e-12)
+        # an evaluation that did not overflow keeps its underflow to 0
+        assert slab_upper_bound(0.5, 1.0000001) == 0.0
 
 
 class TestCylinder:
@@ -178,9 +187,26 @@ class TestDisk:
                 for R in (1.0, 0.7):
                     assert torsion_p_ball(p, R, n) == pytest.approx(torsion_disk_exact(p, R, n), rel=1e-10)
         for args in ((2.0, 1.0, 1), (math.nan,), (2.0, math.nan), (2.0, 1.0, math.nan),
-                     (math.inf, 1.0), (2.0, math.inf), (2.0, 1.0, 2.5), (2.0, 1.0, math.inf)):
+                     (math.inf, 1.0), (2.0, math.inf), (2.0, 1.0, 2.5), (2.0, 1.0, math.inf),
+                     # Gamma(n/2) or R^(q+n) overflows and T lies outside double range
+                     (2.0, 1e10, 400), (2.0, 1.0, 1000), (2.0, 1.0, 1e306), (1.0000001, 10.0)):
             with pytest.raises(BadParameter):
                 torsion_p_ball(*args)
+        # at p = 2 and even n, T = 2 pi^(n/2) / (n/2 - 1)! R^(n+2) / (n^2 (n+2));
+        # from n = 344 on Gamma(n/2) overflows and T is evaluated in log space
+        assert torsion_p_ball(2.0, 1.0, 343) == 9.481198601813121e-231
+        for R, n in ((1.0, 344), (10.0, 400)):
+            expected = (math.log10(2.0) + n / 2 * math.log10(math.pi)
+                        - math.log10(math.factorial(n // 2 - 1))
+                        + (n + 2) * math.log10(R) - math.log10(n * n * (n + 2)))
+            assert math.log10(torsion_p_ball(2.0, R, n)) == pytest.approx(expected, rel=1e-12)
+        # in the plane at R = 2 the powers of n and R join to 2^3, so T = 8 pi / (q + 2)
+        # while R^(q+2) overflows
+        p = 1.0000001
+        assert torsion_p_ball(p, 2.0) == pytest.approx(8.0 * math.pi / (q_exponent(p) + 2.0),
+                                                       rel=1e-12)
+        # an evaluation that did not overflow keeps its underflow to 0
+        assert torsion_p_ball(2.0, 1e-200, 3) == 0.0
 
     def test_bad_radius(self):
         for radius in (0.0, -1.0, math.nan, math.inf):

@@ -615,6 +615,9 @@ class TestRichardson:
         assert rich.observed_order == pytest.approx(2.0, abs=0.3)
         assert rich.torsion == pytest.approx(T_UNIT_SQUARE, rel=1e-3)
         assert rich.error >= abs(rich.torsion - T_UNIT_SQUARE)
+        # the order is read from the last two increments, as the error is
+        d = [b - a for a, b in zip(rich.torsions, rich.torsions[1:])]
+        assert rich.observed_order == math.log2(abs(d[-2])) - math.log2(abs(d[-1]))
 
     def test_disk_extrapolation(self):
         poly, _ = disk(1.0, 256)
