@@ -47,8 +47,7 @@ def _parse_p(spec: str) -> float:
 
 def _load_polygon(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        desc = json.load(fh)
-    return shapes.from_descriptor(desc)
+        return shapes.from_descriptor(json.load(fh))[0]
 
 
 _OUTPUT_NAMES = {"torsion": "T", "f_p_window": "F_p_window"}
@@ -101,50 +100,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("geometry", help="classical metrics of a shape")
-    g.add_argument("shape", help="shape descriptor JSON file")
-    g.add_argument("--out", default=None)
+    def shared(*names, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
 
-    pr = sub.add_parser("profile", help="inner parallel profile as CSV")
-    pr.add_argument("shape")
-    pr.add_argument("--weight", type=_parse_weight, default=WeightProfile.constant(1.0))
-    pr.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    # each argument shared by several commands is declared once, here
+    shape = shared("shape", help="shape descriptor JSON file")
+    p = shared("--p", type=_parse_p, default=2.0)
+    weight = shared("--weight", type=_parse_weight, default=WeightProfile.constant(1.0))
+    grid = shared("--grid", type=int, default=DEFAULT_GRID)
+    out = shared("--out", default=None)
+
+    sub.add_parser("geometry", parents=[shape, out], help="classical metrics of a shape")
+
+    pr = sub.add_parser("profile", parents=[shape, weight, grid], help="inner parallel profile as CSV")
     pr.add_argument("--out", default=None, help="CSV path (default stdout)")
 
-    b = sub.add_parser("bound", help="analytic lower bounds")
-    b.add_argument("shape")
-    b.add_argument("--p", type=_parse_p, default=2.0)
-    b.add_argument("--weight", type=_parse_weight, default=WeightProfile.constant(1.0))
-    b.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    b.add_argument("--out", default=None)
+    sub.add_parser("bound", parents=[shape, p, weight, grid, out], help="analytic lower bounds")
 
-    s = sub.add_parser("solve", help="finite element torsion solve")
-    s.add_argument("shape")
-    s.add_argument("--p", type=_parse_p, default=2.0)
-    s.add_argument("--weight", type=_parse_weight, default=WeightProfile.constant(1.0))
+    s = sub.add_parser("solve", parents=[shape, p, weight], help="finite element torsion solve")
     s.add_argument("--h", type=float, default=None, help="target edge length (default R/16)")
     s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--out", default=None, help="CSV path for the nodal solution x,y,u")
 
-    d = sub.add_parser("deficit", help="quantitative deficit report")
-    d.add_argument("shape")
-    d.add_argument("--p", type=_parse_p, default=2.0)
+    d = sub.add_parser("deficit", parents=[shape, p, out], help="quantitative deficit report")
     d.add_argument("--h", type=float, default=None, help="finest mesh size (default R/12)")
-    d.add_argument("--out", default=None)
 
-    q = sub.add_parser("sequence", help="thinning-family sweep as CSV")
+    q = sub.add_parser("sequence", parents=[p, grid, out], help="thinning-family sweep as CSV")
     q.add_argument("--kind", choices=("rectangle", "triangle", "stadium"), required=True)
     q.add_argument("--l", type=_parse_l_grid, default=harness.DEFAULT_L_GRID)
-    q.add_argument("--p", type=_parse_p, default=2.0)
-    q.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    q.add_argument("--out", default=None)
     q.add_argument("--svg", default=None, help="optional line plot of F_p against l")
 
-    f = sub.add_parser("fuzz", help="classical inequality suite over a random corpus")
+    f = sub.add_parser("fuzz", parents=[out], help="classical inequality suite over a random corpus")
     f.add_argument("--n", type=int, default=1000)
     f.add_argument("--seed", type=int, default=42)
     f.add_argument("--grid", type=int, default=None, help="include Steiner checks at this grid")
-    f.add_argument("--out", default=None)
     return ap
 
 
@@ -166,13 +157,12 @@ def cli_dispatch(argv) -> int:
 
 
 def _run(args) -> int:
+    poly = _load_polygon(args.shape) if "shape" in args else None
     if args.command == "geometry":
-        poly, _ = _load_polygon(args.shape)
         _emit_json({**asdict(metrics(poly)), "vertices": len(poly.vertices)}, args.out)
         return 0
 
     if args.command == "profile":
-        poly, _ = _load_polygon(args.shape)
         prof = profile(poly, args.weight, args.grid)
         rep = steiner_check(prof)
         columns = (prof.t, prof.perimeters, prof.areas, prof.weighted)
@@ -182,13 +172,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "bound":
-        poly, _ = _load_polygon(args.shape)
         prof = profile(poly, args.weight, args.grid)
         _emit_json(bound_report(prof, args.p), args.out)
         return 0
 
     if args.command == "solve":
-        poly, _ = _load_polygon(args.shape)
         body = metrics(poly)
         h = args.h if args.h is not None else body.inradius / 16.0
         mesh = triangulate(poly, h)
@@ -200,7 +188,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "deficit":
-        poly, _ = _load_polygon(args.shape)
         body = metrics(poly)
         h = args.h if args.h is not None else body.inradius / 12.0
         # the ladder's coarsest size 4 h must lie below the inradius R

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import _exp_in_range, c_p, functional_F, q_exponent
-from .errors import BadExponent, ContainmentFailure
+from .bounds import _in_range, c_p, functional_F, q_exponent
+from .errors import ContainmentFailure
 from .geometry import BodyMetrics, ConvexPolygon, metrics
 
 # constant of the intermediate inradius-deficit inequality, any value < 1/3 works
@@ -34,18 +34,15 @@ K_TILDE_BASIS = "min(sigma/8, 1/384), reconstructed constant"
 def K_of_p(p: float) -> float:
     """Explicit constant (p-1) p / (2^{p/(p-1)} 3 (3p-2) (2p-1)); K(2) = 1/72.
 
-    Where 2^{p/(p-1)} overflows it is evaluated in log space, and BadExponent
-    is raised when p lies so close to 1 that K(p) underflows to 0.
+    p is admitted by q_exponent, and the value is evaluated by
+    bounds._in_range: in log space where 2^{p/(p-1)} overflows, and
+    BadExponent where p lies so close to 1 that K(p) underflows to 0.
     """
-    if not (p > 1.0):
-        raise BadExponent(f"p = {p!r} must exceed 1")
     q = q_exponent(p)
-    try:
-        return (p - 1.0) * p / (2.0 ** q * 3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0))
-    except OverflowError:
-        rest = (p - 1.0) * p / (3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0))
-        return _exp_in_range(math.log(rest) - q * math.log(2.0), BadExponent,
-                             f"p = {p!r} is too close to 1 for K(p)")
+    return _in_range(lambda: (p - 1.0) * p / (2.0 ** q * 3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0)),
+                     lambda: (math.log((p - 1.0) * p / (3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0)))
+                              - q * math.log(2.0)),
+                     "K(p)", p)
 
 
 def sigma_threshold() -> float:

@@ -19,9 +19,17 @@ from .geometry import ConvexPolygon, polygon_from_vertices
 _MAX_POINTS = 1 << 16
 
 
+def _is_whole(value) -> bool:
+    """value is a whole number: an int of any size, taken as it is, or a
+    value whose float has no fractional part; a boolean is not."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or float(value).is_integer()
+
+
 def _is_dimension(n) -> bool:
-    """n is an integer >= 2: an int, or a float with no fractional part."""
-    return n >= 2 and float(n).is_integer()
+    """n is a whole number >= 2 (see _is_whole)."""
+    return n >= 2 and _is_whole(n)
 
 
 def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
@@ -56,7 +64,7 @@ def cylinder_perimeter(l: float, n: int, boundary_measure_of_c: float | None = N
         boundary_measure_of_c = 2.0
     if not (0.0 <= boundary_measure_of_c < math.inf):
         raise BadParameter("need a finite boundary measure of C >= 0")
-    return 2.0 / l + l ** (1.0 / (n - 1.0)) * boundary_measure_of_c
+    return 2.0 / l + l ** (1 / (n - 1)) * boundary_measure_of_c
 
 
 def torsion_p_ball(p: float, radius: float = 1.0, n: int = 2) -> float:
@@ -238,8 +246,9 @@ def stadium_of_width(l: float, k: int = 256):
 
 
 def _integer(value) -> int:
-    """value as an int; a boolean or a number with a fractional part is ill-typed."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """value as an int when it is a whole number (see _is_whole), of any
+    size; anything else is ill-typed."""
+    if not _is_whole(value):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -730,13 +730,13 @@ def richardson_T(
     weight: WeightProfile,
     p: float,
     h_list,
-    tol: float = 1e-10,
 ) -> RichardsonResult:
     """Solve on a ratio-2 ladder of nested meshes and extrapolate the torsion.
 
     The coarsest mesh is triangulate(polygon, h_list[0]); each finer level is
     the one before refined once, so each h must be exactly half the one
-    before (h_list[i] == 2.0 * h_list[i + 1]). The spaces are
+    before (h_list[i] == 2.0 * h_list[i + 1]). Each level is solved by
+    solve_torsion at its default tolerance. The spaces are
     nested, so at p = 2 with a constant weight T_h never decreases along the
     ladder. The observed order is log2 of the ratio of the last two
     increments, or 2 when either lies within 1e-12 |T| of 0, where T is not
@@ -757,7 +757,7 @@ def richardson_T(
     # finest first: on a new ladder the largest LU is factorized while no
     # other LU of the ladder is alive, which lowers the peak memory
     meshes = _ladder(polygon, hs[0], len(hs))[::-1]
-    Ts = [solve_torsion(mesh, weight, p, tol).torsion for mesh in meshes][::-1]
+    Ts = [solve_torsion(mesh, weight, p).torsion for mesh in meshes][::-1]
     d_prev, d_last = Ts[-2] - Ts[-3], Ts[-1] - Ts[-2]
     err = abs(d_last)
     floor = 1e-12 * abs(Ts[-1])

@@ -50,12 +50,12 @@ def _leq(a: float, b: float, rel: float = 1e-9) -> bool:
     return a <= b + rel * max(abs(a), abs(b), 1e-300)
 
 
-def _robust_richardson(poly, weight, p, h_fine, tol=1e-9, retries=2):
+def _robust_richardson(poly, weight, p, h_fine, retries=2):
     """Ratio-2 ladder ending at h_fine, shifted finer if increments stall."""
     h = h_fine
     for attempt in range(retries + 1):
         try:
-            return richardson_T(poly, weight, p, [4.0 * h, 2.0 * h, h], tol)
+            return richardson_T(poly, weight, p, [4.0 * h, 2.0 * h, h])
         except NonMonotoneConvergence:
             if attempt == retries:
                 raise

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -24,6 +25,7 @@ from webtorsion.bounds import (
 from webtorsion.errors import BadExponent
 from webtorsion.geometry import metrics, scale
 from webtorsion.parallel import WeightProfile, profile
+from webtorsion.quantitative import K_of_p, theorem2_report
 from webtorsion.shapes import disk, rectangle
 
 W1 = WeightProfile.constant(1.0)
@@ -55,6 +57,57 @@ def test_constants():
     assert math.log10(makai_upper(p)) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(BadExponent):
         makai_upper(1.0000001)
+
+
+def test_infinite_exponent_is_rejected(unit_square):
+    # q_exponent admits p for every closed form; at p = inf they returned NaN
+    body = metrics(unit_square)
+    pr = profile(unit_square, W1, 64)
+    for call in (lambda: q_exponent(math.inf), lambda: c_p(math.inf), lambda: K_of_p(math.inf),
+                 lambda: makai_upper(math.inf), lambda: functional_F(0.05, body, math.inf),
+                 lambda: bound_report(pr, math.inf), lambda: theorem2_report(body, 0.05, math.inf)):
+        with pytest.raises(BadExponent):
+            call()
+
+
+@pytest.mark.parametrize("p", [1.001, 1.0005])
+@pytest.mark.parametrize("factor", [1e-3, 1e3])
+def test_exponent_near_one_stays_typed(p, factor):
+    # a power that overflows is evaluated in log space, and a value outside
+    # double range raises BadExponent: never OverflowError, ZeroDivisionError,
+    # a RuntimeWarning or a non-finite field
+    poly = scale(rectangle(0.5)[0], factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (1e-12, 0.01, 1e12):
+            try:
+                assert math.isfinite(functional_F(T, metrics(poly), p))
+            except BadExponent:
+                pass
+        for w in WEIGHTS:
+            pr = profile(poly, w, 64)
+            try:
+                fields = asdict(bound_report(pr, p))
+            except BadExponent:
+                continue
+            assert all(math.isfinite(v) for v in (*fields.values(), *fields["f_p_window"])
+                       if not isinstance(v, tuple))
+
+
+def test_powers_beyond_double_range_in_log_space():
+    # rectangle(0.5) scaled by 1000 at p = 1.01: P^q and area^(q+1) overflow
+    # while F and the bounds lie inside double range
+    p, q = 1.01, q_exponent(1.01)
+    poly = scale(rectangle(0.5)[0], 1e3)
+    body = metrics(poly)
+    expected = 100.0 + q * math.log10(body.perimeter) - (q + 1.0) * math.log10(body.area)
+    assert math.log10(functional_F(1e100, body, p)) == pytest.approx(expected, rel=1e-12)
+    # the bounds scale as factor^(q+2), read against the unscaled body
+    ref = bound_report(profile(rectangle(0.5)[0], W1, 64), p)
+    big = bound_report(profile(poly, W1, 64), p)
+    for name in ("closed", "refined", "integral", "inf_weight"):
+        expected = math.log10(getattr(ref, name)) + 3.0 * (q + 2.0)
+        assert math.log10(getattr(big, name)) == pytest.approx(expected, abs=1e-9)
 
 
 class TestIntegralBound:

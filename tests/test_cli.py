@@ -1,14 +1,19 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import webtorsion.cli as cli
 import webtorsion.harness as harness
 from webtorsion.bounds import bound_report
 from webtorsion.cli import cli_dispatch
 from webtorsion.geometry import metrics
-from webtorsion.parallel import WeightProfile, profile, steiner_check
+from webtorsion.parallel import DEFAULT_GRID, WeightProfile, profile, steiner_check
 from webtorsion.quantitative import theorem2_report, theorem3_report
 from webtorsion.shapes import from_descriptor
 from webtorsion.solver import richardson_T, solve_torsion, triangulate
@@ -105,6 +110,20 @@ def test_fuzz_grid_checked_before_the_sweep(monkeypatch, capsys):
     assert bodies == []
     assert cli_dispatch(["fuzz", "--n", "0", "--grid", "64"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 0
+
+
+def test_huge_integer_in_a_descriptor_exits_one(tmp_path):
+    # a 401-digit k is a whole number beyond the vertex cap, reported on one
+    # line with no traceback
+    path = tmp_path / "huge.json"
+    path.write_text('{"shape": "disk", "k": 1' + "0" * 400 + "}")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "webtorsion.cli", "geometry", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: need at most") and "Traceback" not in run.stderr
 
 
 def test_deficit_h_checked_against_a_quarter_of_the_inradius(tmp_path, capsys):
@@ -439,3 +458,43 @@ def test_fuzz_out_bytes(grid, tmp_path, capsys):
     s = harness.fuzz_suite(harness.FuzzConfig(seed=11, count=25), grid)
     expected = {"count": s.count, "violations": s.violations, "worst": s.worst}
     assert out.read_text() == _json_text(expected)
+
+
+# Every subcommand's arguments, order aside: dest -> (option strings,
+# default, type, choices, required).
+_HELP = (("-h", "--help"), argparse.SUPPRESS, None, None, False)
+_SHAPE = ((), None, None, None, True)
+_OUT = (("--out",), None, None, None, False)
+_P = (("--p",), 2.0, cli._parse_p, None, False)
+_WEIGHT = (("--weight",), WeightProfile.constant(1.0), cli._parse_weight, None, False)
+_GRID = (("--grid",), DEFAULT_GRID, int, None, False)
+_H = (("--h",), None, float, None, False)
+_PARSER_TABLE = {
+    "geometry": {"help": _HELP, "shape": _SHAPE, "out": _OUT},
+    "profile": {"help": _HELP, "shape": _SHAPE, "weight": _WEIGHT, "grid": _GRID, "out": _OUT},
+    "bound": {"help": _HELP, "shape": _SHAPE, "p": _P, "weight": _WEIGHT, "grid": _GRID,
+              "out": _OUT},
+    "solve": {"help": _HELP, "shape": _SHAPE, "p": _P, "weight": _WEIGHT, "h": _H,
+              "tol": (("--tol",), 1e-10, float, None, False), "out": _OUT},
+    "deficit": {"help": _HELP, "shape": _SHAPE, "p": _P, "h": _H, "out": _OUT},
+    "sequence": {
+        "help": _HELP,
+        "kind": (("--kind",), None, None, ("rectangle", "triangle", "stadium"), True),
+        "l": (("--l",), harness.DEFAULT_L_GRID, cli._parse_l_grid, None, False),
+        "p": _P, "grid": _GRID, "out": _OUT, "svg": (("--svg",), None, None, None, False),
+    },
+    "fuzz": {"help": _HELP, "n": (("--n",), 1000, int, None, False),
+             "seed": (("--seed",), 42, int, None, False),
+             "grid": (("--grid",), None, int, None, False), "out": _OUT},
+}
+
+
+def test_parser_table():
+    ap = cli._build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {
+        name: {a.dest: (tuple(a.option_strings), a.default, a.type, a.choices, a.required)
+               for a in parser._actions}
+        for name, parser in sub.choices.items()
+    }
+    assert table == _PARSER_TABLE

@@ -233,6 +233,23 @@ class TestDisk:
             assert m.width == pytest.approx(rec.width, rel=budget)
 
 
+def test_whole_numbers_of_any_size():
+    # an int is taken as it is, never through float(): 10**400 is a valid n
+    # and a k beyond every cap; a fractional or boolean value is not whole
+    n = 10**400
+    assert slab_upper_bound(0.1, 2.0, n) == slab_upper_bound(0.1, 2.0)
+    assert cylinder_perimeter(0.1, n, 1.0) == 2.0 / 0.1 + 1.0
+    with pytest.raises(BadParameter):
+        torsion_p_ball(2.0, 1.0, n)
+    for desc in ({"shape": "disk", "k": n}, {"shape": "stadium", "r": 0.5, "a": 1, "k": n}):
+        with pytest.raises(BadParameter, match="at most"):
+            from_descriptor(desc)
+    for k in (256.5, True, math.inf, math.nan):
+        with pytest.raises(BadParameter, match="'k'"):
+            from_descriptor({"shape": "disk", "k": k})
+    assert len(from_descriptor({"shape": "disk", "k": 256.0})[0].vertices) == 256
+
+
 class TestDescriptor:
     def test_vertices(self):
         poly, rec = from_descriptor({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
