@@ -18,7 +18,7 @@ a convex integrand (an over-estimate), which keeps refined <= integral on the
 grid. The over-estimate can carry the integral bound above T where the web
 bound is nearly tight: at p = 2 with a constant weight, integral / T - 1
 measures +1.13e-4 for rectangle(0.005) at m = 64 and +1.54e-6 for
-rectangle(0.001) at m = 512 (ROADMAP item 2).
+rectangle(0.001) at m = 512 (ROADMAP item *An exact, one-sided bound chain*).
 """
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ def c_p(p: float) -> float:
 
 
 def _exp_in_range(log_value: float, error: type, message: str) -> float:
-    """exp(log_value) for a closed form whose direct evaluation overflowed,
-    or error(message) when the value lies outside double range (0 or inf)."""
+    """exp(log_value), or error(message) when it lies outside double range
+    (0 or inf)."""
     try:
         value = math.exp(log_value)
     except OverflowError:
@@ -59,80 +59,95 @@ def _exp_in_range(log_value: float, error: type, message: str) -> float:
     return value
 
 
-def _in_range(direct, log_value, name: str, p: float) -> float:
-    """The value of a closed form at exponent p: direct() where it is finite.
+def _ratio(num, den):
+    """num's product of b^e, left to right from the first power (sparing an
+    array a pass by 1), divided by den's, and den's product (1 if empty)."""
+    top = bottom = None
+    for base, e in num:
+        top = base**e if top is None else top * base**e
+    for base, e in den:
+        bottom = base**e if bottom is None else bottom * base**e
+    return (top, 1.0) if bottom is None else (top / bottom, bottom)
 
-    Where a power in direct() overflows (or a divisor underflows to 0) it is
-    exp(log_value()), 0 when a factor is 0 (its log raises ValueError), and
-    BadExponent is raised when it lies outside double range.
+
+def _power(num, den=(), what="", error=BadExponent):
+    """prod b^e over the pairs (b, e) of num divided by that over den.
+
+    Each product is multiplied left to right, so a value inside double range
+    keeps the bits of the formula written out. Only where a product is inf or
+    NaN (a power or the divisor overflowed, or the divisor underflowed to 0)
+    is it exp(h), h the sum of e log b over num minus that over den; a zero
+    base in num gives 0. Scalar bases give a float, and error("<what> lies
+    outside double range") where that value does. Array bases give the
+    products elementwise as (g, M) with g e^M the products, M = 0, or
+    max(0, max h) on the log route: an integral of g enters an outer product
+    as the pairs (integral, 1) and (e, M).
     """
+    if isinstance(num[0][0], np.ndarray):
+        with np.errstate(all="ignore"):
+            value, bottom = _ratio(num, den)
+            # entries are >= 0 and inf * 0 is NaN, so a finite dot product (or
+            # sum) shows them all finite; else the entrywise test decides
+            if math.isfinite(np.dot(value, bottom) if den else value.sum()) or (
+                    np.isfinite(value).all() and np.isfinite(bottom).all()):
+                return value, 0.0
+            h = sum([e * np.log(b) for b, e in num] + [-e * np.log(b) for b, e in den])
+            shift = max(float(h.max()), 0.0)
+            return np.exp(h - shift), shift
     try:
-        value = direct()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    try:
-        log = log_value()
-    except ValueError:
-        return 0.0
-    return _exp_in_range(log, BadExponent, f"{name} at p = {p!r} lies outside double range")
+        value, bottom = _ratio(num, den)
+    except (OverflowError, ZeroDivisionError):  # raised by float powers and division
+        value = bottom = math.inf
+    if math.isfinite(value) and math.isfinite(bottom):
+        return float(value)
+    log = lambda b: math.log(b) if b else -math.inf
+    h = sum([e * log(b) for b, e in num] + [-e * log(b) for b, e in den])
+    return 0.0 if h == -math.inf else _exp_in_range(h, error, f"{what} lies outside double range")
 
 
 def makai_upper(p: float) -> float:
-    """Planar upper window 2^{q+1}/((q+2)(q+1)) for T_p P^q / area^{q+1},
-    evaluated by _in_range."""
+    """Planar upper window 2^{q+1}/((q+2)(q+1)) for T_p P^q / area^{q+1}."""
     q = q_exponent(p)
-    return _in_range(lambda: 2.0 ** (q + 1.0) / ((q + 2.0) * (q + 1.0)),
-                     lambda: (q + 1.0) * math.log(2.0) - math.log((q + 2.0) * (q + 1.0)),
-                     "makai_upper", p)
+    return _power([(2.0, q + 1.0)], [((q + 2.0) * (q + 1.0), 1.0)], f"makai_upper at p = {p!r}")
 
 
 def functional_F(T: float, body: BodyMetrics, p: float) -> float:
-    """Scale-invariant torsion functional T P^q / area^{q+1}, evaluated by
-    _in_range."""
+    """Scale-invariant torsion functional T P^q / area^{q+1}."""
     if not (0.0 < T < math.inf):
         raise ValueError("T must be finite and positive")
     q = q_exponent(p)
-    P, area = body.perimeter, body.area
-    return _in_range(lambda: T * P**q / area ** (q + 1.0),
-                     lambda: math.log(T) + q * math.log(P) - (q + 1.0) * math.log(area),
-                     "F_p", p)
+    return _power([(T, 1.0), (body.perimeter, q)], [(body.area, q + 1.0)], f"F_p at p = {p!r}")
 
 
 def functional_H_half(T: float, body: BodyMetrics) -> float:
     """Planar functional P T^{1/2} / area^{3/2} (bounded only at exponent 1/2)."""
     if not (0.0 < T < math.inf):
         raise ValueError("T must be finite and positive")
-    return body.perimeter * np.sqrt(T) / body.area**1.5
+    return _power([(body.perimeter, 1.0), (T, 0.5)], [(body.area, 1.5)], "H_1/2")
+
+
+def _integral(t, live, num, den):
+    """The trapezoid value over t of the power product of the arrays in num
+    and den where live (0 elsewhere), as the pairs it enters an outer
+    product with."""
+    g = np.zeros_like(t)
+    g[live], shift = _power([(b[live], e) for b, e in num], [(b[live], e) for b, e in den])
+    # the operations of np.trapezoid, so its bits, without its argument handling
+    return [(float(((t[1:] - t[:-1]) * (g[1:] + g[:-1]) / 2.0).sum()), 1.0), (math.e, shift)]
 
 
 def _web_integral(prof: ParallelProfile, p: float) -> float:
     """Trapezoid value of the integral of mu_f^q / P^{1/(p-1)} over [0, R].
 
-    The integrand is forced to 0 where P vanishes (it tends to 0 there) and
-    at the inradius endpoint. It follows the rule of _in_range: where a
-    power overflows or the divisor underflows to 0, the integrand is
-    evaluated in log space, and BadExponent is raised when the integral lies
-    outside double range.
+    The integrand is 0 where P vanishes (it tends to 0 there) and at the
+    inradius endpoint.
     """
     q = q_exponent(p)
-    P, mu_f = prof.perimeters, prof.weighted
-    g = np.zeros_like(P)
+    P = prof.perimeters
     live = P > 0.0
-    with np.errstate(all="ignore"):
-        divisor = P[live] ** (1.0 / (p - 1.0))
-        g[live] = mu_f[live] ** q / divisor
-        g[-1] = 0.0
-        value = float(np.trapezoid(g, prof.t))
-        # P falls with t, so divisor[0] is the largest divisor
-        if not (math.isfinite(value) and divisor[0] < math.inf):
-            g[live] = np.exp(q * np.log(mu_f[live]) - np.log(P[live]) / (p - 1.0))
-            g[-1] = 0.0
-            value = float(np.trapezoid(g, prof.t))
-    if not math.isfinite(value):
-        raise BadExponent(f"the web integral at p = {p!r} lies outside double range")
-    return value
+    live[-1] = False
+    return _power(_integral(prof.t, live, [(prof.weighted, q)], [(P, 1.0 / (p - 1.0))]), (),
+                  f"the web integral at p = {p!r}")
 
 
 def _refinement(prof: ParallelProfile, p: float) -> float:
@@ -155,22 +170,15 @@ def _refinement(prof: ParallelProfile, p: float) -> float:
         P, mu = prof.perimeters, prof.areas
         phi = np.zeros_like(P)
         live = P > 0.0
-        phi[live] = (mu[live] / P[live]) ** gamma
+        phi[live], shift = _power([(mu[live] / P[live], gamma)])
         drops = np.maximum(P[:-1] - P[1:], 0.0)
-        f0, total = w(0.0), float(np.sum(drops * phi[1:]))
-        direct = lambda: cp * q * f0**q * total
-        log_value = lambda: math.log(cp * q) + q * math.log(f0) + math.log(total)
-    else:
-        t, mu_f = prof.t, prof.weighted
-        fvals = np.asarray(w(t))
-        slopes = -np.asarray(w.derivative(t))
-        g = np.zeros_like(mu_f)
-        live = fvals > 0.0
-        g[live] = mu_f[live] ** gamma / fvals[live] ** 2 * slopes[live]
-        P, total = prof.metrics.perimeter, max(float(np.trapezoid(g, t)), 0.0)
-        direct = lambda: cp / P**q * total
-        log_value = lambda: math.log(cp) - q * math.log(P) + math.log(total)
-    return _in_range(direct, log_value, "the refinement", p)
+        return _power([(cp, 1.0), (q, 1.0), (w.c, q), (float(np.sum(drops * phi[1:])), 1.0),
+                       (math.e, shift)], (), f"the refinement at p = {p!r}")
+    t = prof.t
+    fvals, slopes = np.asarray(w(t)), -np.asarray(w.derivative(t))
+    integral = _integral(t, fvals > 0.0, [(prof.weighted, gamma), (slopes, 1.0)], [(fvals, 2.0)])
+    return _power([(cp, 1.0), *integral], [(prof.metrics.perimeter, q)],
+                  f"the refinement at p = {p!r}")
 
 
 @dataclass(frozen=True)
@@ -192,17 +200,12 @@ def bound_report(prof: ParallelProfile, p: float) -> BoundSet:
     q = q_exponent(p)
     cp = c_p(p)
     body, w = prof.metrics, prof.weight
-    P, area, mu_f, f0 = body.perimeter, body.area, prof.mu_f_total, w(0.0)
-    closed = _in_range(lambda: cp * mu_f ** (q + 1.0) / (f0 * P**q),
-                       lambda: (math.log(cp) + (q + 1.0) * math.log(mu_f) - math.log(f0)
-                                - q * math.log(P)),
-                       "the closed bound", p)
+    P, area, mu_f, f0 = body.perimeter, body.area, prof.mu_f_total, w.c
+    closed = _power([(cp, 1.0), (mu_f, q + 1.0)], [(f0, 1.0), (P, q)],
+                    f"the closed bound at p = {p!r}")
     # a non-increasing weight attains its infimum at the inradius
-    inf_f = float(w(body.inradius))
-    inf_weight = _in_range(lambda: inf_f**q * cp * area ** (q + 1.0) / P**q,
-                           lambda: (q * math.log(inf_f) + math.log(cp) + (q + 1.0) * math.log(area)
-                                    - q * math.log(P)),
-                           "the inf-weight bound", p)
+    inf_weight = _power([(float(w(body.inradius)), q), (cp, 1.0), (area, q + 1.0)], [(P, q)],
+                        f"the inf-weight bound at p = {p!r}")
     return BoundSet(
         p=p,
         q=q,

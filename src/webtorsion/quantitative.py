@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import _in_range, c_p, functional_F, q_exponent
+from .bounds import _power, c_p, functional_F, q_exponent
 from .errors import ContainmentFailure
 from .geometry import BodyMetrics, ConvexPolygon, metrics
 
@@ -34,15 +34,13 @@ K_TILDE_BASIS = "min(sigma/8, 1/384), reconstructed constant"
 def K_of_p(p: float) -> float:
     """Explicit constant (p-1) p / (2^{p/(p-1)} 3 (3p-2) (2p-1)); K(2) = 1/72.
 
-    p is admitted by q_exponent, and the value is evaluated by
-    bounds._in_range: in log space where 2^{p/(p-1)} overflows, and
-    BadExponent where p lies so close to 1 that K(p) underflows to 0.
+    p is admitted by q_exponent. K tends to 1/36 as p grows and to 0 as p
+    tends to 1, where BadExponent is raised once it underflows.
     """
     q = q_exponent(p)
-    return _in_range(lambda: (p - 1.0) * p / (2.0 ** q * 3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0)),
-                     lambda: (math.log((p - 1.0) * p / (3.0 * (3.0 * p - 2.0) * (2.0 * p - 1.0)))
-                              - q * math.log(2.0)),
-                     "K(p)", p)
+    return _power([(p - 1.0, 1.0), (p, 1.0)],
+                  [(2.0, q), (3.0, 1.0), (3.0 * p - 2.0, 1.0), (2.0 * p - 1.0, 1.0)],
+                  f"K(p) at p = {p!r}")
 
 
 def sigma_threshold() -> float:
@@ -159,17 +157,18 @@ class DeficitReport:
 def theorem2_report(body: BodyMetrics, T: float, p: float) -> DeficitReport:
     """Check F_p - c_p >= K(p) w / diam with a torsion value from any source."""
     F = functional_F(T, body, p)
-    deficit = F - c_p(p)
+    cp, K = c_p(p), K_of_p(p)
+    deficit = F - cp
     ratio = body.width / body.diameter
-    rhs = K_of_p(p) * ratio
+    rhs = K * ratio
     return DeficitReport(
         p=p,
         torsion=T,
         F_p=F,
-        c_p=c_p(p),
+        c_p=cp,
         deficit=deficit,
         width_diam_ratio=ratio,
-        K_p=K_of_p(p),
+        K_p=K,
         theorem2_rhs=rhs,
         theorem2_ok=bool(deficit >= rhs),
         inradius_deficit=body.perimeter * body.inradius / body.area - 1.0,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _exp_in_range, c_p, q_exponent
+from .bounds import _exp_in_range, _power, c_p, q_exponent
 from .errors import BadParameter
 from .geometry import ConvexPolygon, polygon_from_vertices
 
@@ -36,18 +36,14 @@ def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
     """Upper bound 2 c_p l^{-1} (l/2)^{(2p-1)/(p-1)} for the thinning cylinder.
 
     Comes from comparing with the one-dimensional slab solution; at p = 2 it
-    reduces to l^2 / 12. Where a power overflows the bound is evaluated in log
-    space, and BadParameter is raised when it lies outside double range.
+    reduces to l^2 / 12. BadParameter is raised where it lies outside double
+    range.
     """
     if not (0.0 < l < math.inf and 1.0 < p < math.inf and _is_dimension(n)):
         raise BadParameter("need finite l > 0 and p > 1, and an integer n >= 2")
     gamma = (2.0 * p - 1.0) / (p - 1.0)
-    try:
-        return 2.0 * c_p(p) * (l ** -1.0) * (l / 2.0) ** gamma
-    except OverflowError:
-        log_bound = math.log(2.0 * c_p(p)) - math.log(l) + gamma * (math.log(l) - math.log(2.0))
-        return _exp_in_range(log_bound, BadParameter,
-                             f"slab bound at l = {l!r}, p = {p!r} lies outside double range")
+    return _power([(2.0 * c_p(p), 1.0), (l, -1.0), (l / 2.0, gamma)], (),
+                  f"slab bound at l = {l!r}, p = {p!r}", BadParameter)
 
 
 def cylinder_perimeter(l: float, n: int, boundary_measure_of_c: float | None = None) -> float:

@@ -22,11 +22,11 @@ from webtorsion.bounds import (
     makai_upper,
     q_exponent,
 )
-from webtorsion.errors import BadExponent
+from webtorsion.errors import BadExponent, WebTorsionError
 from webtorsion.geometry import metrics, scale
 from webtorsion.parallel import WeightProfile, profile
 from webtorsion.quantitative import K_of_p, theorem2_report
-from webtorsion.shapes import disk, rectangle
+from webtorsion.shapes import disk, rectangle, slab_upper_bound, torsion_p_ball
 
 W1 = WeightProfile.constant(1.0)
 WEIGHTS = (
@@ -110,6 +110,46 @@ def test_powers_beyond_double_range_in_log_space():
         assert math.log10(getattr(big, name)) == pytest.approx(expected, abs=1e-9)
 
 
+SWEEP_P = (1.0 + 1e-7, 1.001, 1.01, 1.5, 2.0, 10.0, 1e3, 1e154, 1e300)
+SWEEP_SCALES = (1e-3, 1.0, 1e3, 1e50, 1e100)
+
+
+@pytest.mark.parametrize("factor", SWEEP_SCALES)
+def test_closed_forms_are_finite_or_typed(factor):
+    # every closed form in q = p/(p-1), across p and body scales, returns a
+    # finite float >= 0 or raises a WebTorsionError, and never warns
+    poly = scale(rectangle(0.5)[0], factor)
+    body = metrics(poly)
+    slow = (WeightProfile.truncated_linear(1.0, 1e-3), WeightProfile.exponential(1.0, 1e-3))
+    profiles = [profile(poly, w, 64) for w in (*WEIGHTS, *slow)]
+
+    def check(call):
+        try:
+            value = call()
+        except WebTorsionError:
+            return
+        values = asdict(value) if isinstance(value, webtorsion.BoundSet) else {"value": value}
+        values.update(zip(("window_lo", "window_hi"), values.pop("f_p_window", ())))
+        for name, v in values.items():
+            assert type(v) is float and 0.0 <= v < math.inf, (name, v)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in SWEEP_P:
+            check(lambda: c_p(p))
+            check(lambda: makai_upper(p))
+            check(lambda: K_of_p(p))
+            check(lambda: slab_upper_bound(0.5 * factor, p))
+            for n in (2, 3, 400):
+                check(lambda: torsion_p_ball(p, factor, n))
+            for T in (1e-300, 1.0, 1e300):
+                check(lambda: functional_F(T, body, p))
+            for pr in profiles:
+                check(lambda: bound_report(pr, p))
+        for T in (1e-300, 1.0, 1e300):
+            check(lambda: functional_H_half(T, body))
+
+
 class TestIntegralBound:
     def test_square(self, unit_square):
         pr = profile(unit_square, W1, 512)
@@ -142,6 +182,20 @@ class TestIntegralBound:
             oracle = web_integral_quad(mu_f, per, pr.metrics.inradius, 2.0)
             assert bound_report(pr, 2.0).integral == pytest.approx(oracle, rel=1e-4)
 
+    def test_trapezoid_of_the_direct_integrand(self, small_corpus):
+        # inside double range the bound is np.trapezoid of mu_f^q / P^{1/(p-1)}
+        # written out, to the bit
+        for poly in small_corpus[:5]:
+            for w in WEIGHTS:
+                pr = profile(poly, w, 128)
+                live = pr.perimeters > 0.0
+                live[-1] = False
+                for p in P_VALUES:
+                    g = np.zeros_like(pr.t)
+                    g[live] = (pr.weighted[live] ** q_exponent(p)
+                               / pr.perimeters[live] ** (1.0 / (p - 1.0)))
+                    assert bound_report(pr, p).integral == float(np.trapezoid(g, pr.t))
+
     def test_bad_exponent(self, unit_square):
         pr = profile(unit_square, W1, 64)
         with pytest.raises(BadExponent):
@@ -149,7 +203,8 @@ class TestIntegralBound:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="the trapezoid integral crosses T on thin rectangles (ROADMAP item 2)",
+        reason=("the trapezoid integral crosses T on thin rectangles"
+                " (ROADMAP item: An exact, one-sided bound chain)"),
     )
     def test_below_torsion_on_thin_rectangles(self):
         # measured at p = 2: integral / T - 1 is +1.13e-4 for rectangle(0.005)
@@ -219,6 +274,16 @@ class TestRefinedBound:
                     )
                     assert rep.closed > 0 and rep.integral > 0
 
+    @pytest.mark.parametrize("p", [1.01, 1.02])
+    def test_slow_weights_on_a_large_body(self, p):
+        # mu_f^gamma / f^2 (-f') overflows on rectangle(0.5) scaled by 1000,
+        # while every bound lies inside double range
+        poly = scale(rectangle(0.5)[0], 1e3)
+        for w in (WeightProfile.truncated_linear(1.0, 1e-3), WeightProfile.exponential(1.0, 1e-3)):
+            rep = bound_report(profile(poly, w, 64), p)
+            assert all(math.isfinite(v) for v in (rep.closed, rep.refined, rep.integral))
+            assert rep.closed <= rep.refined <= rep.integral
+
 
 class TestInfWeightBound:
     def test_unit_weight_coincides_with_closed(self, unit_square):
@@ -229,6 +294,9 @@ class TestInfWeightBound:
     def test_vanishing_infimum(self, unit_square):
         w = WeightProfile.truncated_linear(1.0, 4.0)  # hits zero at s = 1/4 < R
         assert bound_report(profile(unit_square, w, 128), 2.0).inf_weight == 0.0
+        # still 0 where area^(q+1) overflows and the product is taken in log space
+        big = bound_report(profile(scale(unit_square, 100.0), w, 512), 1.01)
+        assert big.inf_weight == 0.0 and big.closed > 0.0
 
     def test_exponential_square(self, unit_square):
         w = WeightProfile.exponential(1.0, 1.0)
@@ -249,6 +317,18 @@ class TestFunctionals:
         assert H * H == pytest.approx(F, rel=1e-12)
         assert H >= 1.0 / math.sqrt(3.0)
         assert F >= 1.0 / 3.0
+        assert type(H) is float
+
+    def test_H_on_a_huge_body(self):
+        # P T^{1/2} / area^{3/2} with area^{3/2} beyond double range: a value
+        # or a typed error, never OverflowError
+        body = metrics(scale(rectangle(0.5)[0], 1e110))
+        try:
+            H = functional_H_half(1e300, body)
+        except WebTorsionError:
+            return
+        # P = 5e110 and area = 1e220, so H = 5e110 1e150 / 1e330
+        assert H == pytest.approx(5e-70, rel=1e-12)
 
     def test_scale_invariance(self, unit_square):
         body = metrics(unit_square)

@@ -49,6 +49,14 @@ class TestConstants:
         with pytest.raises(BadExponent):
             K_of_p(1.0000001)
 
+    def test_K_tends_to_one_36th(self):
+        # (p-1) p and (3p-2)(2p-1) overflow for large p while K tends to 1/36;
+        # an overflowed denominator is not read as a finite K = 0
+        for p in (1e100, 1e154, 1e200, 1e300):
+            K = K_of_p(p)
+            assert K > 0.0
+            assert K == pytest.approx(1.0 / 36.0, rel=1e-11)
+
     def test_sigma_binding_constraint(self):
         sigma = sigma_threshold()
         K2 = 1.0 / 72.0

@@ -456,7 +456,8 @@ class TestSolve:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="near p = 1.1 the energy stop accepts a stagnated field (ROADMAP item 3)",
+        reason=("near p = 1.1 the energy stop accepts a stagnated field"
+                " (ROADMAP item: A Newton solve below p = 1.5)"),
     )
     def test_energy_identity_near_p_min(self):
         # the load term F . u of the field, not its quotient, which is second
