@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent
+from .errors import BadExponent, BadParameter
 from .geometry import BodyMetrics
 from .parallel import ParallelProfile
 
@@ -114,7 +114,7 @@ def makai_upper(p: float) -> float:
 def functional_F(T: float, body: BodyMetrics, p: float) -> float:
     """Scale-invariant torsion functional T P^q / area^{q+1}."""
     if not (0.0 < T < math.inf):
-        raise ValueError("T must be finite and positive")
+        raise BadParameter("T must be finite and positive")
     q = q_exponent(p)
     return _power([(T, 1.0), (body.perimeter, q)], [(body.area, q + 1.0)], f"F_p at p = {p!r}")
 
@@ -122,7 +122,7 @@ def functional_F(T: float, body: BodyMetrics, p: float) -> float:
 def functional_H_half(T: float, body: BodyMetrics) -> float:
     """Planar functional P T^{1/2} / area^{3/2} (bounded only at exponent 1/2)."""
     if not (0.0 < T < math.inf):
-        raise ValueError("T must be finite and positive")
+        raise BadParameter("T must be finite and positive")
     return _power([(body.perimeter, 1.0), (T, 0.5)], [(body.area, 1.5)], "H_1/2")
 
 

@@ -1,10 +1,13 @@
 """Command line surface: geometry, profile, bound, solve, deficit, sequence, fuzz.
 
 Exit status: 0 when every requested verdict holds, 2 when an inequality
-violation is detected, 1 on usage or convergence errors. Outputs are
-deterministic: JSON with sorted keys, CSV with 17 significant digits. This
-module is the only one that formats output: report dataclasses are written
-field by field, under the names of _OUTPUT_NAMES where those differ.
+violation is detected, 1 on usage or convergence errors. ``deficit`` and
+``sequence`` share one verdict rule (quantitative.VERDICTS): exit 2 when any
+verdict they print is false, where a blank cell or an absent field is no
+verdict. Outputs are deterministic: JSON with sorted keys, CSV with 17
+significant digits and None as a blank cell. This module is the only one that
+formats output: report dataclasses are written field by field, under the
+names of _OUTPUT_NAMES where those differ.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from .bounds import bound_report
 from .errors import WebTorsionError, ViolationFound
 from .geometry import metrics
 from .parallel import DEFAULT_GRID, WeightProfile, profile, steiner_check
-from .quantitative import K_TILDE_BASIS, theorem2_report, theorem3_report
-from .solver import P_MAX, P_MIN, richardson_T, solve_torsion, triangulate
+from .quantitative import K_TILDE_BASIS, _verdicts_hold
+from .solver import P_MAX, P_MIN, solve_torsion, triangulate
 
 
 def _parse_weight(spec: str) -> WeightProfile:
@@ -79,6 +82,8 @@ def _emit_json(obj, out=None) -> None:
 
 
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return format(value, ".17g") if isinstance(value, float) else str(value)
@@ -128,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--h", type=float, default=None, help="finest mesh size (default R/12)")
 
     q = sub.add_parser("sequence", parents=[p, grid, out], help="thinning-family sweep as CSV")
-    q.add_argument("--kind", choices=("rectangle", "triangle", "stadium"), required=True)
+    q.add_argument("--kind", choices=tuple(harness.SEQUENCE_KINDS), required=True)
     q.add_argument("--l", type=_parse_l_grid, default=harness.DEFAULT_L_GRID)
     q.add_argument("--svg", default=None, help="optional line plot of F_p against l")
 
@@ -151,7 +156,7 @@ def cli_dispatch(argv) -> int:
     except ViolationFound as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
-    except (WebTorsionError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (WebTorsionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -193,13 +198,10 @@ def _run(args) -> int:
         # the ladder's coarsest size 4 h must lie below the inradius R
         if not (0.0 < h < body.inradius / 4.0):
             raise ValueError(f"--h {h!r} must lie in (0, R/4), and R/4 = {body.inradius / 4.0!r}")
-        w1 = WeightProfile.constant(1.0)
-        rich = richardson_T(poly, w1, args.p, [4 * h, 2 * h, h])
-        if args.p == 2.0:
-            rep = theorem3_report(poly, rich.torsion, body)
+        rich, rep = harness._deficit_check(poly, args.p, h)
+        if rep.rectangle is not None:
             payload = {**_fields(rep), "k_tilde_basis": K_TILDE_BASIS}
         else:
-            rep = theorem2_report(body, rich.torsion, args.p)
             # the p = 2 only fields, all None here, are left out
             payload = {k: v for k, v in _fields(rep).items() if v is not None}
         _emit_json({**payload, "T_error": rich.error}, args.out)
@@ -212,9 +214,7 @@ def _run(args) -> int:
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 harness.write_sequence_svg(rows, fh)
-        # the verdicts of DeficitReport.all_ok; a blank cell is no verdict
-        verdicts = ("theorem2_ok", "theorem3_ok", "quantitative_R_ok")
-        return 2 if any(r[c] is False for r in rows for c in verdicts) else 0
+        return 0 if all(map(_verdicts_hold, rows)) else 2
 
     if args.command == "fuzz":
         cfg = harness.FuzzConfig(seed=args.seed, count=args.n)

@@ -26,7 +26,8 @@ class BadExponent(WebTorsionError):
 
 
 class BadParameter(WebTorsionError):
-    """Shape parameter outside its admissible range."""
+    """Parameter outside its admissible range: a shape parameter or descriptor
+    key, or a torsion value that is not finite and positive."""
 
 
 class TooFine(WebTorsionError):

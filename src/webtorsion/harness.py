@@ -216,8 +216,21 @@ SEQUENCE_COLUMNS = [
     "branch", "theorem3_ok", "quantitative_R_ok", "slab_upper",
 ]
 
+# the thinning families of run_sequence, each kind with the maker of its
+# unit-area member of width l
+SEQUENCE_KINDS = {
+    "rectangle": rectangle, "triangle": isosceles_triangle, "stadium": stadium_of_width,
+}
 DEFAULT_L_GRID = (0.4, 0.2, 0.1, 0.05)
 SEQUENCE_MESH_DIVISOR = 10
+
+
+def _deficit_check(poly: ConvexPolygon, p: float, h: float):
+    """richardson_T of the constant weight on the ladder (4h, 2h, h) and the
+    report for p: theorem3_report at p = 2, theorem2_report otherwise."""
+    rich = richardson_T(poly, WeightProfile.constant(1.0), p, [4.0 * h, 2.0 * h, h])
+    T, body = rich.torsion, metrics(poly)
+    return rich, theorem3_report(poly, T, body) if p == 2.0 else theorem2_report(body, T, p)
 
 
 def run_sequence(
@@ -228,25 +241,23 @@ def run_sequence(
 ) -> list[dict]:
     """Metrics, bounds, solver torsion and verdicts along a thinning family.
 
-    kind is one of rectangle, triangle, stadium; l is the width of the
-    unit-area member. The solver runs a 3-level ratio-2 refinement ladder
-    with finest size inradius / SEQUENCE_MESH_DIVISOR.
+    kind is a key of SEQUENCE_KINDS; l is the width of the unit-area member.
+    The solver runs a 3-level ratio-2 refinement ladder with finest size
+    inradius / SEQUENCE_MESH_DIVISOR. A row holds None where its column does
+    not apply: the p = 2 only fields at other p, quantitative_R_ok on the
+    large-deficit branch and slab_upper for kinds other than rectangle.
     """
-    makers = {"rectangle": rectangle, "triangle": isosceles_triangle, "stadium": stadium_of_width}
-    if kind not in makers:
+    if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence kind {kind!r}")
     weight = WeightProfile.constant(1.0)
     rows = []
     for l in l_grid:
-        poly, _rec = makers[kind](float(l))
+        poly, _rec = SEQUENCE_KINDS[kind](float(l))
         body = metrics(poly)
         prof = profile(poly, weight, grid)
         bounds = bound_report(prof, p)
-        h_fine = body.inradius / SEQUENCE_MESH_DIVISOR
-        rich = richardson_T(poly, weight, p, [4.0 * h_fine, 2.0 * h_fine, h_fine])
-        T = rich.torsion
-        rep = theorem3_report(poly, T, body) if p == 2.0 else theorem2_report(body, T, p)
-        row = {
+        rich, rep = _deficit_check(poly, p, body.inradius / SEQUENCE_MESH_DIVISOR)
+        rows.append({
             "kind": kind,
             "l": float(l),
             "p": p,
@@ -259,21 +270,14 @@ def run_sequence(
             "closed": bounds.closed,
             "refined": bounds.refined,
             "integral": bounds.integral,
-            "T": T,
+            "T": rich.torsion,
             "T_error": rich.error,
             "observed_order": rich.observed_order,
-            "F_p": rep.F_p,
-            "deficit": rep.deficit,
-            "theorem2_rhs": rep.theorem2_rhs,
-            "theorem2_ok": rep.theorem2_ok,
-        }
-        # the p = 2 only fields are blank cells at other p, or on the branch
-        # that has no inradius-deficit verdict
-        for col in ("symdiff_ratio", "branch", "theorem3_ok", "quantitative_R_ok"):
-            value = getattr(rep, col)
-            row[col] = "" if value is None else value
-        row["slab_upper"] = slab_upper_bound(float(l), p) if kind == "rectangle" else ""
-        rows.append(row)
+            **{c: getattr(rep, c) for c in (
+                "F_p", "deficit", "theorem2_rhs", "theorem2_ok", "symdiff_ratio",
+                "branch", "theorem3_ok", "quantitative_R_ok")},
+            "slab_upper": slab_upper_bound(float(l), p) if kind == "rectangle" else None,
+        })
     return rows
 
 

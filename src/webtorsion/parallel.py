@@ -199,16 +199,21 @@ def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID
     events, evaluated at the nodes. mu_f is accumulated from the inradius
     end, so mu_f(R) = 0 holds exactly: constant weights use c times the
     exact areas, the others sum f(midpoint) times the exact area increment of
-    each subinterval.
+    each subinterval; the subinterval holding a truncated-linear weight's
+    support end s = c/beta counts only its part up to s.
     """
     _check_grid(m)
     body = metrics(polygon)
     times, P_j, mu_j, C_j, _ = _skeleton(polygon)
+
+    def piece(t):
+        """P and mu at the depths t from their skeleton pieces."""
+        j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(P_j) - 1)
+        d = t - times[j]
+        return P_j[j] - 2.0 * C_j[j] * d, mu_j[j] - d * (P_j[j] - C_j[j] * d)
+
     ts = np.linspace(0.0, body.inradius, m + 1)
-    j = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(P_j) - 1)
-    d = ts - times[j]
-    P = P_j[j] - 2.0 * C_j[j] * d
-    mu = mu_j[j] - d * (P_j[j] - C_j[j] * d)
+    P, mu = piece(ts)
     # the body at depth R has measure zero; its node is empty by definition,
     # and so is every node from the first one past the last event or of area
     # rounded to zero
@@ -227,7 +232,15 @@ def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID
         # the perimeter kinks and to its jump at a needle collapse, and it
         # obeys mu_f(t) <= f(t) mu(t) <= (R - t) f(t) P(t) node by node
         mids = 0.5 * (ts[:-1] + ts[1:])
-        seg = np.asarray(weight(mids)) * (mu[:-1] - mu[1:])
+        drops = mu[:-1] - mu[1:]
+        end = weight.c / weight.beta if weight.kind == "linear" else math.inf
+        if end < body.inradius:
+            # its subinterval counts [t_i, end] only; mu(end) is kept between
+            # the values of the two nodes, which the rule above may zero
+            i = int(np.searchsorted(ts, end, side="right")) - 1
+            mids[i] = 0.5 * (ts[i] + end)
+            drops[i] = mu[i] - np.clip(piece(end)[1], mu[i + 1], mu[i])
+        seg = np.asarray(weight(mids)) * drops
         mu_f = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     return ParallelProfile(
         t=ts, perimeters=P, areas=mu, weighted=mu_f,

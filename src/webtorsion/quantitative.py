@@ -29,6 +29,13 @@ QUANT_R_CONST = 1.0 / 6.0
 K_TILDE_FLOOR = 1.0 / 384.0
 # how k_tilde was obtained, reported next to it
 K_TILDE_BASIS = "min(sigma/8, 1/384), reconstructed constant"
+# the verdict fields of a DeficitReport, and the one rule on a mapping of
+# them: none is False, a verdict that is None or absent being no verdict
+VERDICTS = ("theorem2_ok", "theorem3_ok", "quantitative_R_ok")
+
+
+def _verdicts_hold(fields) -> bool:
+    return not any(fields.get(v) is False for v in VERDICTS)
 
 
 def K_of_p(p: float) -> float:
@@ -146,12 +153,8 @@ class DeficitReport:
 
     @property
     def all_ok(self) -> bool:
-        verdicts = [self.theorem2_ok]
-        if self.theorem3_ok is not None:
-            verdicts.append(self.theorem3_ok)
-        if self.quantitative_R_ok is not None:
-            verdicts.append(self.quantitative_R_ok)
-        return all(verdicts)
+        """No verdict is False: the rule of VERDICTS, where None is no verdict."""
+        return _verdicts_hold(vars(self))
 
 
 def theorem2_report(body: BodyMetrics, T: float, p: float) -> DeficitReport:

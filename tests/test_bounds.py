@@ -22,7 +22,7 @@ from webtorsion.bounds import (
     makai_upper,
     q_exponent,
 )
-from webtorsion.errors import BadExponent, WebTorsionError
+from webtorsion.errors import BadExponent, BadParameter, WebTorsionError
 from webtorsion.geometry import metrics, scale
 from webtorsion.parallel import WeightProfile, profile
 from webtorsion.quantitative import K_of_p, theorem2_report
@@ -351,8 +351,10 @@ class TestFunctionals:
                 assert F_lower < makai_upper(p)
 
     def test_rejects_nonpositive_torsion(self, unit_square):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter, match="finite and positive"):
             functional_F(0.0, metrics(unit_square), 2.0)
+        with pytest.raises(BadParameter, match="finite and positive"):
+            functional_H_half(math.inf, metrics(unit_square))
 
 
 def test_report_json_keys(unit_square):

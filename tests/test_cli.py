@@ -251,6 +251,20 @@ def test_sequence_exit_follows_every_verdict(rect_file, capsys, monkeypatch):
     assert cli_dispatch(["deficit", rect_file, "--h", "0.02"]) == 2
 
 
+def test_verdict_rule_at_p_other_than_two(rect_file, capsys, monkeypatch):
+    import webtorsion.quantitative as quant
+
+    # at p = 3 the p = 2 only verdicts are None, so theorem 2 alone decides
+    monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
+    deficit = ["deficit", rect_file, "--p", "3", "--h", "0.02"]
+    sequence = ["sequence", "--kind", "rectangle", "--l", "0.4", "--p", "3", "--grid", "64"]
+    assert cli_dispatch(deficit) == 0
+    assert cli_dispatch(sequence) == 0
+    monkeypatch.setattr(quant, "K_of_p", lambda p: 1e6)  # unsatisfiable slope
+    assert cli_dispatch(deficit) == 2
+    assert cli_dispatch(sequence) == 2
+
+
 def test_sequence_csv_deterministic(capsys, monkeypatch):
     monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
     argv = ["sequence", "--kind", "rectangle", "--l", "0.4", "--grid", "128"]
@@ -323,7 +337,7 @@ def test_planted_violation_flips_fuzz_exit(capsys, monkeypatch):
 
 # Byte-level output: the expected bytes are rendered here from library values,
 # JSON with sorted keys and two-space indent, CSV cells with 17 significant
-# digits and true/false for verdicts.
+# digits, true/false for verdicts and a blank cell for None.
 
 
 def _json_text(obj) -> str:
@@ -332,6 +346,8 @@ def _json_text(obj) -> str:
 
 def _csv_text(header, rows) -> str:
     def cell(v):
+        if v is None:
+            return ""
         if isinstance(v, bool):
             return "true" if v else "false"
         return format(v, ".17g") if isinstance(v, float) else str(v)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import MU_F_SQUARE_LINEAR, profile_deque, steiner_quotient_loop
 import webtorsion.parallel as parallel_mod
+from webtorsion.bounds import bound_report
 from webtorsion.errors import GridTooCoarse, TooFine, ViolationFound
 from webtorsion.geometry import metrics, scale
 from webtorsion.parallel import (
@@ -119,6 +120,16 @@ class TestProfile:
     def test_square_linear_weight(self, unit_square):
         pr = profile(unit_square, WeightProfile.truncated_linear(1.0, 1.0), 512)
         assert pr.mu_f_total == pytest.approx(MU_F_SQUARE_LINEAR, abs=1e-6)
+
+    def test_linear_weight_support_end_inside_first_step(self):
+        # on a 500 x 2000 rectangle f = max(1 - s, 0) vanishes at s = 1, far
+        # inside the first step R/64; mu_f(0) is the integral over [0, 1] of
+        # (1 - t)(5000 - 8 t), and the subinterval holding s counts [0, 1]
+        pr = profile(scale(rectangle(0.5)[0], 1e3), WeightProfile.truncated_linear(1.0, 1.0), 64)
+        assert pr.mu_f_total == pytest.approx(2500.0 - 4.0 / 3.0, rel=1e-3)
+        assert pr.mu_f_total <= 2500.0 - 4.0 / 3.0
+        b = bound_report(pr, 2.0)
+        assert 0.0 < b.closed <= b.refined <= b.integral
 
     def test_grid_too_coarse(self, unit_square):
         with pytest.raises(GridTooCoarse):

@@ -12,7 +12,7 @@ from oracles import (
     torsion_rectangle_series,
 )
 from webtorsion.bounds import functional_F
-from webtorsion.errors import BadExponent, ContainmentFailure
+from webtorsion.errors import BadExponent, BadParameter, ContainmentFailure
 from webtorsion.geometry import metrics, polygon_from_vertices
 from webtorsion.parallel import WeightProfile
 from webtorsion.quantitative import (
@@ -213,9 +213,9 @@ class TestTheorem3:
     def test_rejects_non_finite_torsion(self, unit_square):
         body = metrics(unit_square)
         for T in (math.nan, math.inf, 0.0, -1.0):
-            with pytest.raises(ValueError, match="finite and positive"):
+            with pytest.raises(BadParameter, match="finite and positive"):
                 functional_F(T, body, 2.0)
-            with pytest.raises(ValueError, match="finite and positive"):
+            with pytest.raises(BadParameter, match="finite and positive"):
                 theorem3_report(unit_square, T)
 
     def test_json_payload(self, unit_square):
