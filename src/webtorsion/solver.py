@@ -23,10 +23,17 @@ less than half as far as the last trial, and bisects (or doubles while hi is
 unbounded) otherwise. When the bracket shrinks to 1e-6 of hi it accepts lo, a
 descent step by convexity. The accepted trial's slopes and energy become the
 new iterate's. So an iteration makes one product G d, one product G^T (w G x)
-for the gradient and one LU solve or V-cycle. When the energy stop fires,
-G x and F . x are recomputed from the iterate and the stop must hold for the
-recomputed energy too, so a result's energy and gradient are those of its
-field. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
+for the gradient and one LU solve or V-cycle. The iteration stops on the
+Newton decrement it gets from that solve: with z = K_ff^-1 g and the Hessian
+taken as (p - 1) w K_ff, w = sum area s^(p/2) / sum area s for s = |grad u|^2
++ eps2, lambda^2 = (g . z) / ((p - 1) w), and J lies about lambda^2 / 2 above
+its minimum; the stop is lambda^2 / 2 <= tol |J| / 10. Where the decrement
+never gets that small (near p = 1.1 to 1.3) a plateau guard stops it
+instead, when J fell by less than tol |J| over 10 iterations; G x and F . x
+are then recomputed from the iterate and the guard must hold for the
+recomputed energy too. Either stop recomputes the state from the iterate, so
+a result's energy and gradient are those of its field, and the result names
+its stop. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
 and sum area |grad u|^p for the iteration and its warm start. A mesh builds
 its gradient operator, stiffness matrix, LU or smoother once, on first use,
 and the transpose of the gradient operator on its first nonlinear solve;
@@ -461,7 +468,11 @@ class TorsionResult:
     guaranteed lower bound for the polygon's torsion; for other weights, a
     quadrature estimate. energy is J(u), grad_norm the norm of the energy
     gradient at u, and iterations the p = 2 solve's count (1 for an LU
-    solve) at p = 2, or else the nonlinear iteration's steps.
+    solve) at p = 2, or else the nonlinear iteration's steps. stop_reason
+    says how the solve ended: "linear" at p = 2 (and when no node is free),
+    "decrement" when the nonlinear iteration reached a minimizer to within
+    its tolerance, and "plateau" when it stopped because the energy stalled,
+    with the Newton decrement still above it.
     """
 
     mesh: Mesh
@@ -472,6 +483,7 @@ class TorsionResult:
     torsion: float
     iterations: int
     grad_norm: float
+    stop_reason: str = "linear"
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -505,18 +517,27 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     """Nonlinear CG from the p = 2 solution x, preconditioned by the mesh's
     inverse of K_ff (_vcycle): returns the minimizer on the free nodes,
     its Dirichlet sum sum area (|grad x|^2 + eps2)^(p/2), its load term
-    F . x, its energy gradient and the iteration count."""
+    F . x, its energy gradient, the iteration count and the stop reason,
+    "decrement" or "plateau"."""
     G, GT = mesh._gradient, mesh._gradient_T
+    area = mesh.triangle_areas
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
 
     def energy(Gx, Fx):
-        """s, e and J of the field with slopes Gx and load term Fx."""
+        """s, e, the Dirichlet sum and J of the field with slopes Gx and load
+        term Fx."""
         s, e, a = _dirichlet(mesh, Gx, p, eps2)
-        return s, e, a / p - Fx
+        return s, e, a, a / p - Fx
 
     def gradient(Gx, s, e):
         """G^T (w G x) - F with w = area s^(p/2) / s; s >= eps2 > 0."""
         return GT @ ((e / s) * Gx.reshape(2, -1)).ravel() - F
+
+    def recomputed(x):
+        """G x, F . x and energy(G x, F . x), formed afresh from x, so that a
+        result's energy and gradient are those of its field."""
+        Gx, Fx = G @ x, float(F @ x)
+        return Gx, Fx, energy(Gx, Fx)
 
     def slopes(Gt, s, e, Gd, Fd, dd):
         """phi'(a) = sum w t - F . d and phi''(a) = sum w (dd + (p - 2) t^2 / s)
@@ -531,9 +552,9 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
     b_lin = float(F @ x)
     x = x * (b_lin / a_p) ** (1.0 / (p - 1.0)) if a_p > 0 else x
 
-    # the iterate x with its slopes Gx = G x, load term Fx = F . x, s, e and J
-    Gx, Fx = G @ x, float(F @ x)
-    s, e, J = energy(Gx, Fx)
+    # the iterate x with its slopes Gx = G x, load term Fx = F . x, s, e,
+    # Dirichlet sum and J
+    Gx, Fx, (s, e, dirichlet, J) = recomputed(x)
     g = gradient(Gx, s, e)
     z = _vcycle(g, mesh)
     d = -z
@@ -563,7 +584,7 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
                     a_next = 2.0 * a if a > 0.0 else 1.0
             moved, a = abs(a_next - a), a_next
             Gt, Ft = Gx + a * Gd, Fx + a * Fd
-            st, et, Jt = energy(Gt, Ft)
+            st, et, _, Jt = trial = energy(Gt, Ft)
             dphi, ddphi = slopes(Gt, st, et, Gd, Fd, dd)
             # near convergence Jt differs from J only at roundoff, so the
             # Armijo test can fail on a good step; the bracket on phi' below
@@ -571,33 +592,39 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
             if abs(dphi) <= -0.1 * gd and Jt <= J + 1e-4 * a * gd:
                 break
             if dphi < 0.0:
-                lo, at_lo = a, (Gt, Ft, st, et, Jt)
+                lo, at_lo = a, (Gt, Ft, trial)
             else:
                 hi = a
             if hi < math.inf and hi - lo <= 1e-6 * hi:
                 # phi' < 0 at lo > 0, so by convexity lo is a descent step
-                a, (Gt, Ft, st, et, Jt) = lo, at_lo
+                a, (Gt, Ft, trial) = lo, at_lo
                 break
         else:
             raise NoConvergence(
                 f"line search found no descent step in {_MAX_TRIAL_STEPS} trials"
                 f" at iteration {n_iter}"
             )
-        x, Gx, Fx, s, e, J = x + a * d, Gt, Ft, st, et, Jt
+        x, Gx, Fx, (s, e, dirichlet, J) = x + a * d, Gt, Ft, trial
         history.append(J)
-        if len(history) > 10 and history[-11] - J < tol * abs(J):
-            # the carried state settled: recompute it from x, so that the
-            # result is the energy and gradient of the returned field, and
-            # stop only if the recomputed energy settled too
-            Gx, Fx = G @ x, float(F @ x)
-            s, e, dirichlet = _dirichlet(mesh, Gx, p, eps2)
-            J = dirichlet / p - Fx
+        plateau = len(history) > 10 and history[-11] - J < tol * abs(J)
+        if plateau:
+            # the carried state settled: recompute it from x, and stop only
+            # if the recomputed energy settled too
+            Gx, Fx, (s, e, dirichlet, J) = recomputed(x)
             history[-1] = J
-            if history[-11] - J < tol * abs(J):
-                return x, dirichlet, Fx, gradient(Gx, s, e), n_iter
+            plateau = history[-11] - J < tol * abs(J)
         g_new = gradient(Gx, s, e)
         z_new = _vcycle(g_new, mesh)
         gz_new = float(g_new @ z_new)
+        # the Newton decrement lambda^2 = g . H^-1 g, with the Hessian H about
+        # (p - 1) w K_ff, w = sum area s^(p/2) / sum area s: J lies about
+        # lambda^2 / 2 above its minimum
+        lam2 = gz_new * float(area @ s) / ((p - 1.0) * dirichlet)
+        minimal = 0.5 * lam2 <= 0.1 * tol * abs(J)
+        if minimal or plateau:
+            Gx, Fx, (s, e, dirichlet, J) = recomputed(x)
+            return (x, dirichlet, Fx, gradient(Gx, s, e), n_iter,
+                    "decrement" if minimal else "plateau")
         beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
         d = -z_new + beta * d
         g, z, gz = g_new, z_new, gz_new
@@ -666,10 +693,16 @@ def solve_torsion(
     Every p first solves p = 2, K_ff x = F (_solve_p2): by the mesh's LU,
     or, on a refined mesh above _MG_MIN_FREE free nodes, by V-cycle CG to a
     relative residual of 1e-12. At other p, nonlinear conjugate gradients
-    preconditioned by the same LU or V-cycle continue from x until the
-    relative energy decrease stays below tol over 10 successive iterations,
-    and count the result's iterations. tol must be finite and positive.
-    Raises NoConvergence when the line search or an iteration cap runs out.
+    preconditioned by the same LU or V-cycle continue from x, and count the
+    result's iterations. They stop when the Newton decrement puts J within
+    tol |J| / 10 of its minimum (stop_reason "decrement"), so tol bounds the
+    relative energy error of the returned field, as far as the decrement's
+    Hessian estimate goes. Where the decrement stays larger, as near
+    p = 1.1 to 1.3, they stop when the relative energy decrease stays below
+    tol over 10 successive iterations (stop_reason "plateau"); such a field
+    may lie further than tol from the minimum. tol must be finite and
+    positive. Raises NoConvergence when the line search or an iteration cap
+    runs out.
 
     The result's torsion is the quotient (F . x)^{p/(p-1)} / D^{1/(p-1)} of
     the returned field x, D its Dirichlet sum: x . K_ff x at p = 2, and at
@@ -687,15 +720,17 @@ def solve_torsion(
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
     x, iterations = _solve_p2(mesh, F)
+    stop = "linear"
     if p == 2.0:
         Kx = mesh._stiffness @ x
         dirichlet, Fx, residual = float(x @ Kx), float(F @ x), Kx - F
     else:
-        x, dirichlet, Fx, residual, iterations = _ncg(mesh, F, p, tol, x)
+        x, dirichlet, Fx, residual, iterations, stop = _ncg(mesh, F, p, tol, x)
     u[mesh.n_boundary:] = x
     J = dirichlet / p - Fx
     T = Fx ** (p / (p - 1.0)) / dirichlet ** (1.0 / (p - 1.0)) if dirichlet > 0.0 else 0.0
-    return TorsionResult(mesh, u, p, weight, J, T, iterations, float(np.linalg.norm(residual)))
+    return TorsionResult(mesh, u, p, weight, J, T, iterations, float(np.linalg.norm(residual)),
+                         stop)
 
 
 @dataclass(frozen=True)

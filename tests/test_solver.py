@@ -38,7 +38,7 @@ from oracles import (
 import webtorsion.solver as solver_mod
 from webtorsion.bounds import bound_report, c_p, q_exponent
 from webtorsion.errors import BadExponent, NoConvergence, NonMonotoneConvergence, TooFine
-from webtorsion.geometry import metrics, polygon_from_vertices
+from webtorsion.geometry import metrics, polygon_from_vertices, scale
 from webtorsion.parallel import WeightProfile, inner_body, profile
 from webtorsion.shapes import disk, rectangle, slab_upper_bound, torsion_p_ball
 from webtorsion.solver import (
@@ -48,6 +48,7 @@ from webtorsion.solver import (
 )
 
 W1 = WeightProfile.constant(1.0)
+WEIGHTS = (W1, WeightProfile.truncated_linear(1.0, 1.0), WeightProfile.exponential(1.0, 1.0))
 
 
 def _recomputed_state(res):
@@ -381,6 +382,7 @@ class TestSolve:
         mesh = triangulate(unit_square, 1.0 / 64)
         res = solve_torsion(mesh, W1, 2.0)
         assert res.torsion == pytest.approx(T_UNIT_SQUARE, rel=0.01)
+        assert res.stop_reason == "linear"
         assert res.u.min() >= -1e-12
         assert np.all(res.u[: mesh.n_boundary] == 0.0)
 
@@ -416,14 +418,12 @@ class TestSolve:
     def test_carried_state_matches_the_returned_field(self, small_corpus):
         # the iteration carries G x, F . x and the energy through its line
         # searches; recomputed from the returned field they must agree
-        weights = (W1, WeightProfile.truncated_linear(1.0, 1.0),
-                   WeightProfile.exponential(1.0, 1.0))
         for poly in small_corpus[:4]:
             mesh = triangulate(poly, metrics(poly).inradius / 6.0)
             solve_torsion(mesh, W1, 2.0)
             assert "_gradient_T" not in mesh.__dict__  # built by p != 2 solves only
             transposes = []
-            for w in weights:
+            for w in WEIGHTS:
                 for p in (1.5, 3.0, 10.0):
                     res = solve_torsion(mesh, w, p)
                     J, grad_norm, F_norm = _recomputed_state(res)
@@ -440,6 +440,8 @@ class TestSolve:
         mesh = triangulate(disk(1.0, 256)[0], 0.05)
         res = solve_torsion(mesh, W1, 1.2)
         assert res.iterations > 1000
+        # the decrement stays above 1e-6 |J| here: the plateau guard stops it
+        assert res.stop_reason == "plateau"
         J, grad_norm, F_norm = _recomputed_state(res)
         assert res.energy == pytest.approx(J, rel=1e-12)
         assert abs(res.grad_norm - grad_norm) <= 1e-10 * F_norm
@@ -452,6 +454,7 @@ class TestSolve:
         mesh = triangulate(disk(1.0, 256)[0], 0.05)
         res = solve_torsion(mesh, W1, 1.3)
         assert res.iterations < 1000
+        assert res.stop_reason == "plateau"  # the decrement stays above 2e-8 |J|
         assert _load_term(res) == pytest.approx(-1.3 / 0.3 * res.energy, rel=2e-4)
 
     @pytest.mark.xfail(
@@ -508,6 +511,51 @@ class TestSolve:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 solve_torsion(mesh, W1, 2.0, tol=tol)
+
+
+@pytest.fixture(scope="module")
+def corpus_solves(small_corpus):
+    """(p, result at the default tol, result at tol = 1e-13) for the first
+    four corpus bodies at R/6, every weight and p = 1.5, 3 and 10."""
+    out = []
+    for poly in small_corpus[:4]:
+        mesh = triangulate(poly, metrics(poly).inradius / 6.0)
+        for w in WEIGHTS:
+            for p in (1.5, 3.0, 10.0):
+                out.append((p, solve_torsion(mesh, w, p), solve_torsion(mesh, w, p, tol=1e-13)))
+    return out
+
+
+class TestStopRule:
+    def test_corpus_stops_on_the_decrement(self, corpus_solves):
+        assert [res.stop_reason for _, res, _ in corpus_solves] == ["decrement"] * 36
+
+    def test_decrement_stop_is_accurate(self, corpus_solves):
+        # the decrement stop lands within tol of the minimum's T
+        for _, res, tight in corpus_solves:
+            assert res.torsion == pytest.approx(tight.torsion, rel=1e-10, abs=0.0)
+
+    def test_iteration_ceiling(self, corpus_solves):
+        # measured: 401 iterations at p = 1.5 and 177 at p = 3; with the
+        # energy window as the only stop they took 447 and 285
+        for p, measured in ((1.5, 401), (3.0, 177)):
+            total = sum(res.iterations for q, res, _ in corpus_solves if q == p)
+            assert total <= 1.1 * measured
+
+    def test_scale_invariance(self, small_corpus):
+        # lambda^2 and tol |J| scale alike, so scaling the body by L (with f
+        # read in its own units) or f by c moves no stop
+        poly = small_corpus[1]
+        R = metrics(poly).inradius
+        mesh = triangulate(poly, R / 6.0)
+        for p in (1.5, 3.0, 10.0):
+            n = solve_torsion(mesh, WeightProfile.exponential(1.0, 2.0 / R), p).iterations
+            for L in (0.1, 10.0):
+                scaled = triangulate(scale(poly, L), L * R / 6.0)
+                res = solve_torsion(scaled, WeightProfile.exponential(1.0, 2.0 / (L * R)), p)
+                assert res.iterations == n
+            for c in (0.2, 5.0):
+                assert solve_torsion(mesh, WeightProfile.exponential(c, 2.0 / R), p).iterations == n
 
 
 class TestRayleigh:
