@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, shapes
 from .bounds import bound_report
-from .errors import WebTorsionError, ViolationFound
+from .errors import BadParameter, WebTorsionError, ViolationFound
 from .geometry import metrics
 from .parallel import DEFAULT_GRID, WeightProfile, profile, steiner_check
 from .quantitative import K_TILDE_BASIS, _verdicts_hold
@@ -94,6 +94,44 @@ def _emit_csv(header, rows, out=None) -> None:
     _write("".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows]), out)
 
 
+def _sequence_svg(rows) -> str:
+    """Minimal static polyline chart of F_p against l."""
+    xs = [row["l"] for row in rows]
+    ys = [float(row["F_p"]) for row in rows]
+    width, height, margin = 640, 480, 60
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+
+    def sx(x):
+        return margin + (x - x_lo) / x_span * (width - 2 * margin)
+
+    def sy(y):
+        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
+
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>\n'
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
+        f'stroke="black"/>\n'
+        f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="2"/>\n'
+        + "".join(f'<text x="{sx(x):.2f}" y="{height - margin + 20}" font-size="12" '
+                  f'text-anchor="middle">{x:g}</text>\n' for x in (x_lo, x_hi))
+        + "".join(f'<text x="{margin - 8}" y="{sy(y):.2f}" font-size="12" '
+                  f'text-anchor="end">{y:.6g}</text>\n' for y in (y_lo, y_hi))
+        + f'<text x="{width / 2:.0f}" y="{height - 15}" font-size="14" '
+        f'text-anchor="middle">l</text>\n'
+        f'<text x="18" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
+        f'transform="rotate(-90 18 {height / 2:.0f})">F_p</text>\n'
+        "</svg>\n"
+    )
+
+
 def _parse_l_grid(spec: str):
     return tuple(float(x) for x in spec.split(","))
 
@@ -126,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", parents=[shape, p, weight], help="finite element torsion solve")
     s.add_argument("--h", type=float, default=None, help="target edge length (default R/16)")
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=float, default=1e-10,
+                   help="relative energy tolerance of the p != 2 iteration; unused at p = 2")
     s.add_argument("--out", default=None, help="CSV path for the nodal solution x,y,u")
 
     d = sub.add_parser("deficit", parents=[shape, p, out], help="quantitative deficit report")
@@ -197,7 +236,7 @@ def _run(args) -> int:
         h = args.h if args.h is not None else body.inradius / 12.0
         # the ladder's coarsest size 4 h must lie below the inradius R
         if not (0.0 < h < body.inradius / 4.0):
-            raise ValueError(f"--h {h!r} must lie in (0, R/4), and R/4 = {body.inradius / 4.0!r}")
+            raise BadParameter(f"--h {h!r} must lie in (0, R/4), and R/4 = {body.inradius / 4.0!r}")
         rich, rep = harness._deficit_check(poly, args.p, h)
         if rep.rectangle is not None:
             payload = {**_fields(rep), "k_tilde_basis": K_TILDE_BASIS}
@@ -212,8 +251,7 @@ def _run(args) -> int:
         columns = harness.SEQUENCE_COLUMNS
         _emit_csv(columns, ([row[c] for c in columns] for row in rows), args.out)
         if args.svg:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                harness.write_sequence_svg(rows, fh)
+            _write(_sequence_svg(rows), args.svg)
         return 0 if all(map(_verdicts_hold, rows)) else 2
 
     if args.command == "fuzz":
@@ -222,7 +260,7 @@ def _run(args) -> int:
         _emit_json(summary, args.out)
         return 0 if not summary.violations else 2
 
-    raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+    raise BadParameter(f"unknown command {args.command!r}")  # pragma: no cover
 
 
 def main() -> None:

@@ -25,9 +25,11 @@ class BadExponent(WebTorsionError):
     """Exponent p outside the admissible range."""
 
 
-class BadParameter(WebTorsionError):
+class BadParameter(WebTorsionError, ValueError):
     """Parameter outside its admissible range: a shape parameter or descriptor
-    key, or a torsion value that is not finite and positive."""
+    key, a weight, a depth, a mesh size or tolerance, a corpus setting, or a
+    torsion value that is not finite and positive. It is a ValueError too, so
+    argparse type functions and ``except ValueError`` callers still catch it."""
 
 
 class TooFine(WebTorsionError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,9 @@ class ConvexPolygon:
 
     Use :func:`polygon_from_vertices` to build one from raw points; the
     constructor itself only validates an already canonical vertex array. It
-    measures the edges once and caches the area and the edge data.
+    measures the edges once and caches the area and the edge data; the
+    straight skeleton and the metrics are built on first use and cached,
+    which is safe because polygons are immutable.
     """
 
     vertices: np.ndarray
@@ -90,6 +93,100 @@ class ConvexPolygon:
         for i in range(len(b)):
             np.minimum(out, pts @ n[i] - b[i], out=out)
         return out
+
+    @cached_property
+    def _skeleton(self):
+        """Edge-collapse events of the convex straight skeleton.
+
+        Pushing every edge inward by t moves each vertex along its bisector
+        and shortens each edge at rate tan(phi_a/2) + tan(phi_b/2), phi_a and
+        phi_b the turns at its ends. An edge of length zero collapses: its two
+        end vertices merge into one whose turn is their sum. So between
+        consecutive events t_j <= t <= t_{j+1} the inner body has
+
+            P(t) = P_j - 2 C_j (t - t_j),
+            mu(t) = mu_j - P_j (t - t_j) + C_j (t - t_j)^2,
+
+        C_j the sum of tan(phi/2) over its vertices. The last event is the
+        first merge whose turn reaches pi (to MERGE_EPS in its sine): there
+        the body is a point or a segment, and its depth is the inradius.
+
+        Returns ``(times, P, mu, C, incenter)``: ``times`` holds t_0 = 0, ...,
+        t_J, the other arrays the J pieces, and ``incenter`` the midpoint of
+        the bounding box of the surviving skeleton vertices at t_J, which is
+        the skeleton's last node or the midpoint of its last segment.
+        """
+        n, b, length = self._edges
+        k = len(b)
+        nrm = n.tolist()
+        prv = [(i - 1) % k for i in range(k)]
+        nxt = [(i + 1) % k for i in range(k)]
+        # h[i] is tan of the half turn at the start vertex of edge i; edge i
+        # shrinks at rate[i] and reaches length zero at depth tau[i]
+        h = [_tan_half_turn(nrm[i - 1], nrm[i]) for i in range(k)]
+        rate = [h[i] + h[nxt[i]] for i in range(k)]
+        tau = (length / rate).tolist()
+        heap = list(zip(tau, range(k)))
+        heapq.heapify(heap)
+        t, P, mu, C = 0.0, float(length.sum()), self._area, math.fsum(h)
+        times, pieces = [t], [(P, mu, C)]
+        while True:
+            t_i, i = heapq.heappop(heap)
+            if t_i != tau[i]:
+                continue  # stale entry
+            d = max(t_i - t, 0.0)
+            a, c = prv[i], nxt[i]
+            na, nc = nrm[a], nrm[c]
+            cross = na[0] * nc[1] - na[1] * nc[0]
+            if cross <= 0.0 or (cross <= MERGE_EPS and na[0] * nc[0] + na[1] * nc[1] < 0.0):
+                break
+            mu -= d * (P - C * d)
+            P -= 2.0 * C * d
+            t += d
+            nxt[a], prv[c] = c, a
+            tau[i], h[i] = math.inf, 0.0
+            h[c] = _tan_half_turn(na, nc)
+            for e in (a, c):
+                r = h[e] + h[nxt[e]]
+                tau[e] = t + (tau[e] - t) * rate[e] / r
+                rate[e] = r
+                heapq.heappush(heap, (tau[e], e))
+            # summed afresh: a running sum would cancel after a merged turn near pi
+            C = math.fsum(h)
+            times.append(t)
+            pieces.append((P, mu, C))
+        t += d
+        times.append(t)
+        # the surviving vertices at depth t, each where two consecutive lines
+        # n . x = b + t meet. A vertex turning by more than 3 pi / 4 moves faster
+        # than 2.6 and is dropped, as it magnifies the roundoff of t. Turns sum to
+        # pi at each end of a segment and to 2 pi around a point, so a vertex
+        # turning by 2 pi / 3 or less remains at every end.
+        ends = [(i, nxt[i])]
+        while ends[-1][1] != i:
+            ends.append((ends[-1][1], nxt[ends[-1][1]]))
+        ends = np.array(ends)
+        turn_cos = np.einsum("ij,ij->i", n[ends[:, 0]], n[ends[:, 1]])
+        ends = ends[turn_cos >= math.cos(0.75 * math.pi)]
+        x = np.linalg.solve(n[ends], (b[ends] + t)[:, :, None])[:, :, 0]
+        c = 0.5 * (x.min(axis=0) + x.max(axis=0))
+        return (np.array(times), *np.array(pieces).T, (float(c[0]), float(c[1])))
+
+    @cached_property
+    def _metrics(self) -> BodyMetrics:
+        """The classical metrics that :func:`metrics` returns."""
+        diameter, width, width_dir = _calipers(self)
+        n, b, length = self._edges
+        incenter = self._skeleton[4]
+        return BodyMetrics(
+            area=self._area,
+            perimeter=float(np.sum(length)),
+            diameter=diameter,
+            width=width,
+            width_direction=width_dir,
+            inradius=float(np.min(n @ np.asarray(incenter) - b)),
+            incenter=incenter,
+        )
 
 
 @dataclass(frozen=True)
@@ -229,111 +326,13 @@ def _tan_half_turn(na, nb) -> float:
     return cross / (1.0 + dot) if dot >= 0.0 else (1.0 - dot) / cross
 
 
-def _skeleton(polygon: ConvexPolygon):
-    """Edge-collapse events of the convex straight skeleton, cached on the polygon.
-
-    Pushing every edge inward by t moves each vertex along its bisector and
-    shortens each edge at rate tan(phi_a/2) + tan(phi_b/2), phi_a and phi_b the
-    turns at its ends. An edge of length zero collapses: its two end vertices
-    merge into one whose turn is their sum. So between consecutive events
-    t_j <= t <= t_{j+1} the inner body has
-
-        P(t) = P_j - 2 C_j (t - t_j),  mu(t) = mu_j - P_j (t - t_j) + C_j (t - t_j)^2,
-
-    C_j the sum of tan(phi/2) over its vertices. The last event is the first
-    merge whose turn reaches pi (to MERGE_EPS in its sine): there the body is
-    a point or a segment, and its depth is the inradius.
-
-    Returns ``(times, P, mu, C, incenter)``: ``times`` holds t_0 = 0, ..., t_J,
-    the other arrays the J pieces, and ``incenter`` the midpoint of the
-    bounding box of the surviving skeleton vertices at t_J, which is the
-    skeleton's last node or the midpoint of its last segment.
-    """
-    cached = polygon.__dict__.get("_skeleton")
-    if cached is not None:
-        return cached
-    n, b, length = polygon._edges
-    k = len(b)
-    nrm = n.tolist()
-    prv = [(i - 1) % k for i in range(k)]
-    nxt = [(i + 1) % k for i in range(k)]
-    # h[i] is tan of the half turn at the start vertex of edge i; edge i
-    # shrinks at rate[i] and reaches length zero at depth tau[i]
-    h = [_tan_half_turn(nrm[i - 1], nrm[i]) for i in range(k)]
-    rate = [h[i] + h[nxt[i]] for i in range(k)]
-    tau = (length / rate).tolist()
-    heap = list(zip(tau, range(k)))
-    heapq.heapify(heap)
-    t, P, mu, C = 0.0, float(length.sum()), polygon._area, math.fsum(h)
-    times, pieces = [t], [(P, mu, C)]
-    while True:
-        t_i, i = heapq.heappop(heap)
-        if t_i != tau[i]:
-            continue  # stale entry
-        d = max(t_i - t, 0.0)
-        a, c = prv[i], nxt[i]
-        na, nc = nrm[a], nrm[c]
-        cross = na[0] * nc[1] - na[1] * nc[0]
-        if cross <= 0.0 or (cross <= MERGE_EPS and na[0] * nc[0] + na[1] * nc[1] < 0.0):
-            break
-        mu -= d * (P - C * d)
-        P -= 2.0 * C * d
-        t += d
-        nxt[a], prv[c] = c, a
-        tau[i], h[i] = math.inf, 0.0
-        h[c] = _tan_half_turn(na, nc)
-        for e in (a, c):
-            r = h[e] + h[nxt[e]]
-            tau[e] = t + (tau[e] - t) * rate[e] / r
-            rate[e] = r
-            heapq.heappush(heap, (tau[e], e))
-        # summed afresh: a running sum would cancel after a merged turn near pi
-        C = math.fsum(h)
-        times.append(t)
-        pieces.append((P, mu, C))
-    t += d
-    times.append(t)
-    # the surviving vertices at depth t, each where two consecutive lines
-    # n . x = b + t meet. A vertex turning by more than 3 pi / 4 moves faster
-    # than 2.6 and is dropped, as it magnifies the roundoff of t. Turns sum to
-    # pi at each end of a segment and to 2 pi around a point, so a vertex
-    # turning by 2 pi / 3 or less remains at every end.
-    ends = [(i, nxt[i])]
-    while ends[-1][1] != i:
-        ends.append((ends[-1][1], nxt[ends[-1][1]]))
-    ends = np.array(ends)
-    ends = ends[np.einsum("ij,ij->i", n[ends[:, 0]], n[ends[:, 1]]) >= math.cos(0.75 * math.pi)]
-    x = np.linalg.solve(n[ends], (b[ends] + t)[:, :, None])[:, :, 0]
-    c = 0.5 * (x.min(axis=0) + x.max(axis=0))
-    cached = (np.array(times), *np.array(pieces).T, (float(c[0]), float(c[1])))
-    object.__setattr__(polygon, "_skeleton", cached)
-    return cached
-
-
 def metrics(polygon: ConvexPolygon) -> BodyMetrics:
     """Area, perimeter, diameter, minimal width and inradius of the body.
 
     The incenter is the straight skeleton's last node, or the midpoint of its
     last segment when the deepest inner body is a segment (see
-    :func:`_skeleton`). The inradius is the exact minimal edge distance of
-    that incenter, so the inscribed disk fits by construction. Results are
-    cached on the polygon, which is safe because polygons are immutable.
+    ``ConvexPolygon._skeleton``). The inradius is the exact minimal edge
+    distance of that incenter, so the inscribed disk fits by construction.
+    Results are cached on the polygon.
     """
-    cached = polygon.__dict__.get("_metrics")
-    if cached is not None:
-        return cached
-    diameter, width, width_dir = _calipers(polygon)
-    n, b, length = polygon._edges
-    incenter = _skeleton(polygon)[4]
-    inradius = float(np.min(n @ np.asarray(incenter) - b))
-    m = BodyMetrics(
-        area=polygon._area,
-        perimeter=float(np.sum(length)),
-        diameter=diameter,
-        width=width,
-        width_direction=width_dir,
-        inradius=inradius,
-        incenter=incenter,
-    )
-    object.__setattr__(polygon, "_metrics", m)
-    return m
+    return polygon._metrics

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import bound_report
-from .errors import Degenerate, NonConvex, RejectionOverflow, ViolationFound
+from .errors import BadParameter, Degenerate, NonConvex, RejectionOverflow, ViolationFound
 from .geometry import ConvexPolygon, metrics, polygon_from_vertices
 from .parallel import DEFAULT_GRID, WeightProfile, _check_grid, profile, steiner_check
 from .quantitative import theorem2_report, theorem3_report
@@ -64,11 +64,11 @@ class FuzzConfig:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError(f"corpus size {self.count} must be non-negative")
+            raise BadParameter(f"corpus size {self.count} must be non-negative")
         if not (3 <= self.min_vertices <= self.max_vertices <= 64):
-            raise ValueError("vertex-count range must sit inside [3, 64]")
+            raise BadParameter("vertex-count range must sit inside [3, 64]")
         if not (0.0 < self.tau_min <= self.tau_max <= 1.0):
-            raise ValueError("anisotropy range must sit inside (0, 1]")
+            raise BadParameter("anisotropy range must sit inside (0, 1]")
 
 
 def random_convex_body(config: FuzzConfig, index: int) -> ConvexPolygon:
@@ -128,21 +128,13 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    """Slacks of every classical inequality for one body (non-negative = pass)."""
-
-    slacks: dict
-
-    @property
-    def worst(self) -> float:
-        return min(self.slacks.values())
-
-
 def classical_inequality_suite(
     polygon: ConvexPolygon, steiner_grid: int | None = None
-) -> SuiteReport:
+) -> dict:
     """Check the five planar windows, raising ViolationFound on any breach.
+
+    Returns the slack of every classical inequality by name; a non-negative
+    slack is a pass.
 
     When steiner_grid is given, the inner-parallel profile at that grid size
     is built and its Steiner inequalities are checked as well. All slacks are
@@ -171,7 +163,7 @@ def classical_inequality_suite(
         slacks["steiner_perimeter"] = rep.perimeter_slack / m.perimeter
         slacks["steiner_area"] = rep.area_slack / m.area
         slacks["steiner_quotient"] = rep.quotient_slack / (2.0 * math.pi)
-    return SuiteReport(slacks=slacks)
+    return slacks
 
 
 @dataclass(frozen=True)
@@ -199,11 +191,11 @@ def fuzz_suite(config: FuzzConfig, steiner_grid: int | None = None) -> FuzzSumma
     for i in range(config.count):
         body = random_convex_body(config, i)
         try:
-            rep = classical_inequality_suite(body, steiner_grid)
+            slacks = classical_inequality_suite(body, steiner_grid)
         except ViolationFound as exc:
             violations.append({"body": i, "name": exc.name, "slack": exc.slack})
             continue
-        for name, slack in rep.slacks.items():
+        for name, slack in slacks.items():
             if name not in worst or slack < worst[name]["slack"]:
                 worst[name] = {"slack": slack, "body": i}
     return FuzzSummary(count=config.count, violations=violations, worst=worst)
@@ -248,7 +240,7 @@ def run_sequence(
     large-deficit branch and slab_upper for kinds other than rectangle.
     """
     if kind not in SEQUENCE_KINDS:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        raise BadParameter(f"unknown sequence kind {kind!r}")
     weight = WeightProfile.constant(1.0)
     rows = []
     for l in l_grid:
@@ -279,49 +271,3 @@ def run_sequence(
             "slab_upper": slab_upper_bound(float(l), p) if kind == "rectangle" else None,
         })
     return rows
-
-
-def write_sequence_svg(rows: list[dict], stream) -> None:
-    """Minimal static polyline chart of F_p against l."""
-    xs = [row["l"] for row in rows]
-    ys = [float(row["F_p"]) for row in rows]
-    width, height, margin = 640, 480, 60
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    def sx(x):
-        return margin + (x - x_lo) / x_span * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
-
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    stream.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>\n'
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>\n'
-        f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="2"/>\n'
-    )
-    for x in (x_lo, x_hi):
-        stream.write(
-            f'<text x="{sx(x):.2f}" y="{height - margin + 20}" font-size="12" '
-            f'text-anchor="middle">{x:g}</text>\n'
-        )
-    for y in (y_lo, y_hi):
-        stream.write(
-            f'<text x="{margin - 8}" y="{sy(y):.2f}" font-size="12" '
-            f'text-anchor="end">{y:.6g}</text>\n'
-        )
-    stream.write(
-        f'<text x="{width / 2:.0f}" y="{height - 15}" font-size="14" '
-        f'text-anchor="middle">l</text>\n'
-        f'<text x="18" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2:.0f})">F_p</text>\n'
-        "</svg>\n"
-    )

@@ -3,10 +3,12 @@
 For a convex polygon the body at depth t is the intersection of its edge
 half-planes pushed inward by t. Its perimeter P(t) and area mu(t) are
 piecewise linear and quadratic between the edge-collapse events of the
-straight skeleton (``geometry._skeleton``). The profile samples P(t), mu(t)
+straight skeleton (``ConvexPolygon._skeleton``). The profile samples P(t), mu(t)
 and the weighted volume mu_f(t) = integral over {d > t} of f(d(x)) on a
 uniform grid over [0, R], R the inradius. ``inner_body`` builds the body at
-one depth by clipping, independently of the skeleton.
+one depth by clipping, independently of the skeleton: it is the reference
+that the tests and the benchmark check the skeleton's profiles against, and
+no other function of the package builds an inner body.
 """
 from __future__ import annotations
 
@@ -15,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, TooFine, ViolationFound
-from .geometry import (
-    BodyMetrics,
-    ConvexPolygon,
-    metrics,
-    _canonicalize,
-    _shoelace,
-    _skeleton,
-)
+from .errors import BadParameter, GridTooCoarse, TooFine, ViolationFound
+from .geometry import BodyMetrics, ConvexPolygon, metrics, _canonicalize, _shoelace
 
 DEFAULT_GRID = 512
 _MIN_GRID = 64
@@ -49,11 +44,11 @@ class WeightProfile:
 
     def __post_init__(self):
         if self.kind not in ("const", "linear", "exp"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            raise BadParameter(f"unknown weight kind {self.kind!r}")
         if not (0.0 < self.c < math.inf):
-            raise ValueError("weight must be finite and positive at distance zero")
+            raise BadParameter("weight must be finite and positive at distance zero")
         if not (0.0 <= self.beta < math.inf and 0.0 <= self.rate < math.inf):
-            raise ValueError("slope and rate must be finite and non-negative")
+            raise BadParameter("slope and rate must be finite and non-negative")
 
     @classmethod
     def constant(cls, c: float = 1.0) -> "WeightProfile":
@@ -126,7 +121,7 @@ def inner_body(polygon: ConvexPolygon, t: float):
     by the rule that builds every polygon (``geometry._canonicalize``).
     """
     if not (t >= 0.0):
-        raise ValueError("depth t must be non-negative")
+        raise BadParameter("depth t must be non-negative")
     if t == 0.0:
         return polygon
     if t >= metrics(polygon).inradius:
@@ -204,7 +199,7 @@ def profile(polygon: ConvexPolygon, weight: WeightProfile, m: int = DEFAULT_GRID
     """
     _check_grid(m)
     body = metrics(polygon)
-    times, P_j, mu_j, C_j, _ = _skeleton(polygon)
+    times, P_j, mu_j, C_j, _ = polygon._skeleton
 
     def piece(t):
         """P and mu at the depths t from their skeleton pieces."""

@@ -83,14 +83,13 @@ class EnclosingRectangle:
     symdiff_ratio: float
 
 
-def enclosing_rectangle(polygon: ConvexPolygon, body: BodyMetrics | None = None) -> EnclosingRectangle:
+def enclosing_rectangle(polygon: ConvexPolygon) -> EnclosingRectangle:
     """Build Q and the closed-form ratio D = |Q symdiff body| / area = P w / (2 area) - 1.
 
-    Raises ContainmentFailure when a vertex lies more than 1e-12 (max|v| + 1)
-    outside Q.
+    Reads the polygon's cached metrics. Raises ContainmentFailure when a
+    vertex lies more than 1e-12 (max|v| + 1) outside Q.
     """
-    if body is None:
-        body = metrics(polygon)
+    body = metrics(polygon)
     u = np.asarray(body.width_direction, dtype=float)
     vdir = np.array([-u[1], u[0]])
     proj_u = polygon.vertices @ u
@@ -189,7 +188,7 @@ def theorem3_report(polygon: ConvexPolygon, T: float, body: BodyMetrics | None =
     if body is None:
         body = metrics(polygon)
     base = theorem2_report(body, T, 2.0)
-    rect = enclosing_rectangle(polygon, body)
+    rect = enclosing_rectangle(polygon)
     D = rect.symdiff_ratio
     sigma = sigma_threshold()
     kt = k_tilde()

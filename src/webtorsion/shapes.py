@@ -32,15 +32,15 @@ def _is_dimension(n) -> bool:
     return n >= 2 and _is_whole(n)
 
 
-def slab_upper_bound(l: float, p: float, n: int = 2) -> float:
+def slab_upper_bound(l: float, p: float) -> float:
     """Upper bound 2 c_p l^{-1} (l/2)^{(2p-1)/(p-1)} for the thinning cylinder.
 
-    Comes from comparing with the one-dimensional slab solution; at p = 2 it
-    reduces to l^2 / 12. BadParameter is raised where it lies outside double
-    range.
+    Comes from comparing with the one-dimensional slab solution, so it is the
+    same in every dimension; at p = 2 it reduces to l^2 / 12. BadParameter is
+    raised where it lies outside double range.
     """
-    if not (0.0 < l < math.inf and 1.0 < p < math.inf and _is_dimension(n)):
-        raise BadParameter("need finite l > 0 and p > 1, and an integer n >= 2")
+    if not (0.0 < l < math.inf and 1.0 < p < math.inf):
+        raise BadParameter("need finite l > 0 and p > 1")
     gamma = (2.0 * p - 1.0) / (p - 1.0)
     return _power([(2.0 * c_p(p), 1.0), (l, -1.0), (l / 2.0, gamma)], (),
                   f"slab bound at l = {l!r}, p = {p!r}", BadParameter)
@@ -245,7 +245,7 @@ def _integer(value) -> int:
     """value as an int when it is a whole number (see _is_whole), of any
     size; anything else is ill-typed."""
     if not _is_whole(value):
-        raise ValueError(f"{value!r} is not an integer")
+        raise BadParameter(f"{value!r} is not an integer")
     return int(value)
 
 

@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BadExponent, NoConvergence, NonMonotoneConvergence, TooFine
+from .errors import BadExponent, BadParameter, NoConvergence, NonMonotoneConvergence, TooFine
 from .geometry import ConvexPolygon, metrics
 from .parallel import WeightProfile
 
@@ -383,7 +383,7 @@ def triangulate(polygon: ConvexPolygon, h: float) -> Mesh:
     """
     body = metrics(polygon)
     if not (0.0 < h < body.inradius):
-        raise ValueError(f"target edge length h = {h!r} must lie in (0, inradius)")
+        raise BadParameter(f"target edge length h = {h!r} must lie in (0, inradius)")
     pts, n_bnd, lattice = _mesh_points(polygon, h)
     simplices = _delaunay_triangles(pts, h, lattice)
     # one averaging sweep on interior nodes; the connectivity stays
@@ -701,8 +701,9 @@ def solve_torsion(
     p = 1.1 to 1.3, they stop when the relative energy decrease stays below
     tol over 10 successive iterations (stop_reason "plateau"); such a field
     may lie further than tol from the minimum. tol must be finite and
-    positive. Raises NoConvergence when the line search or an iteration cap
-    runs out.
+    positive; it does nothing at p = 2, whose field is the LU solve's or the
+    V-cycle CG's at the fixed relative residual _CG_RTOL = 1e-12. Raises
+    NoConvergence when the line search or an iteration cap runs out.
 
     The result's torsion is the quotient (F . x)^{p/(p-1)} / D^{1/(p-1)} of
     the returned field x, D its Dirichlet sum: x . K_ff x at p = 2, and at
@@ -713,7 +714,7 @@ def solve_torsion(
     if not (P_MIN <= p <= P_MAX):
         raise BadExponent(f"p = {p!r} outside the supported range [{P_MIN:g}, {P_MAX:g}]")
     if not (0.0 < tol < math.inf):
-        raise ValueError(f"tol = {tol!r} must be finite and positive")
+        raise BadParameter(f"tol = {tol!r} must be finite and positive")
     F = _load_vector(mesh, weight)
     u = np.zeros(mesh.node_count)
     if len(F) == 0:
@@ -784,11 +785,11 @@ def richardson_T(
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 3:
-        raise ValueError("need at least 3 mesh sizes")
+        raise BadParameter("need at least 3 mesh sizes")
     if not all(0.0 < h < math.inf for h in hs):
-        raise ValueError("mesh sizes must be finite and positive")
+        raise BadParameter("mesh sizes must be finite and positive")
     if any(a != 2.0 * b for a, b in zip(hs, hs[1:])):
-        raise ValueError("each mesh size must be exactly half the one before")
+        raise BadParameter("each mesh size must be exactly half the one before")
     # finest first: on a new ladder the largest LU is factorized while no
     # other LU of the ladder is alive, which lowers the peak memory
     meshes = _ladder(polygon, hs[0], len(hs))[::-1]

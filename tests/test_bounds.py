@@ -388,6 +388,9 @@ def test_public_names():
     assert not hasattr(webtorsion.geometry, "support_function")
     assert not hasattr(webtorsion.errors, "ZeroDirection")
     assert not hasattr(webtorsion.harness, "corpus")
+    # a suite returns its slack dict, and cli formats every output
+    assert not hasattr(webtorsion.harness, "SuiteReport")
+    assert not hasattr(webtorsion.harness, "write_sequence_svg")
     assert not hasattr(webtorsion.Mesh, "min_angle_degrees")
     assert not hasattr(webtorsion.Mesh, "max_edge")
     # a solve's torsion is its field's Rayleigh quotient; the quotient kernel

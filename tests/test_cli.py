@@ -317,7 +317,7 @@ def test_fuzz_worst_per_inequality(grid, capsys):
     worst = json.loads(capsys.readouterr().out)["worst"]
     cfg = harness.FuzzConfig(seed=3, count=40)
     slacks = [
-        harness.classical_inequality_suite(harness.random_convex_body(cfg, i), grid).slacks
+        harness.classical_inequality_suite(harness.random_convex_body(cfg, i), grid)
         for i in range(cfg.count)
     ]
     assert set(worst) == set(slacks[0])
@@ -463,6 +463,28 @@ def test_sequence_bytes(p, capsys, monkeypatch):
     columns = harness.SEQUENCE_COLUMNS
     assert capsys.readouterr().out == _csv_text(columns, ([r[c] for c in columns] for r in rows))
     assert code == 0
+
+
+def test_sequence_svg_bytes():
+    # the chart of two rows, byte for byte: axes, polyline, the end labels
+    # of each axis and the axis names
+    rows = [{"l": 0.4, "F_p": 0.0123456789}, {"l": 0.1, "F_p": 0.5}]
+    assert cli._sequence_svg(rows) == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">\n'
+        '<rect width="640" height="480" fill="white"/>\n'
+        '<line x1="60" y1="420" x2="580" y2="420" stroke="black"/>\n'
+        '<line x1="60" y1="60" x2="60" y2="420" stroke="black"/>\n'
+        '<polyline points="580.00,420.00 60.00,60.00" fill="none" stroke="steelblue" '
+        'stroke-width="2"/>\n'
+        '<text x="60.00" y="440" font-size="12" text-anchor="middle">0.1</text>\n'
+        '<text x="580.00" y="440" font-size="12" text-anchor="middle">0.4</text>\n'
+        '<text x="52" y="420.00" font-size="12" text-anchor="end">0.0123457</text>\n'
+        '<text x="52" y="60.00" font-size="12" text-anchor="end">0.5</text>\n'
+        '<text x="320" y="465" font-size="14" text-anchor="middle">l</text>\n'
+        '<text x="18" y="240" font-size="14" text-anchor="middle" '
+        'transform="rotate(-90 18 240)">F_p</text>\n'
+        "</svg>\n"
+    )
 
 
 @pytest.mark.parametrize("grid", [None, 64])

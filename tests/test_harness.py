@@ -1,10 +1,10 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 import webtorsion.harness as harness
+from webtorsion.cli import _sequence_svg
 from webtorsion.errors import ViolationFound
 from webtorsion.geometry import metrics
 from webtorsion.harness import (
@@ -14,7 +14,6 @@ from webtorsion.harness import (
     fuzz_suite,
     random_convex_body,
     run_sequence,
-    write_sequence_svg,
 )
 
 
@@ -79,11 +78,11 @@ class TestGenerator:
 
 class TestSuite:
     def test_square_equality_witness(self, unit_square):
-        rep = classical_inequality_suite(unit_square)
+        slacks = classical_inequality_suite(unit_square)
         m = metrics(unit_square)
         # circumscribed polygon: area / (P R) = 1/2 exactly
         assert m.area / (m.perimeter * m.inradius) == pytest.approx(0.5, abs=1e-12)
-        assert rep.slacks["area_per_inradius_lo"] == pytest.approx(0.0, abs=1e-12)
+        assert slacks["area_per_inradius_lo"] == pytest.approx(0.0, abs=1e-12)
 
     def test_equilateral_scott_equality(self, equilateral):
         m = metrics(equilateral)
@@ -91,9 +90,9 @@ class TestSuite:
         rhs = 2.0 / math.sqrt(3.0) * m.width**2
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert m.width / m.inradius == pytest.approx(3.0, rel=1e-12)
-        rep = classical_inequality_suite(equilateral)
-        assert rep.slacks["scott"] == pytest.approx(0.0, abs=1e-12)
-        assert rep.slacks["width_inradius_hi"] == pytest.approx(0.0, abs=1e-12)
+        slacks = classical_inequality_suite(equilateral)
+        assert slacks["scott"] == pytest.approx(0.0, abs=1e-12)
+        assert slacks["width_inradius_hi"] == pytest.approx(0.0, abs=1e-12)
 
     def test_corpus_clean(self):
         summary = fuzz_suite(FuzzConfig(seed=7, count=200))
@@ -148,9 +147,7 @@ class TestSequences:
     def test_svg_is_static(self, monkeypatch):
         monkeypatch.setattr(harness, "SEQUENCE_MESH_DIVISOR", 6)
         rows = run_sequence("rectangle", (0.4, 0.2), 2.0, grid=128)
-        buf = io.StringIO()
-        write_sequence_svg(rows, buf)
-        svg = buf.getvalue()
+        svg = _sequence_svg(rows)
         assert svg.startswith("<svg")
         assert "polyline" in svg
         assert "script" not in svg

@@ -11,6 +11,7 @@ from oracles import (
     symdiff_ratio_clipped,
     torsion_rectangle_series,
 )
+from webtorsion import quantitative
 from webtorsion.bounds import functional_F
 from webtorsion.errors import BadExponent, BadParameter, ContainmentFailure
 from webtorsion.geometry import metrics, polygon_from_vertices
@@ -122,11 +123,13 @@ class TestEnclosingRectangle:
                 d = poly.vertices @ normals[i] - normals[i] @ c[i]
                 assert d.min() >= -1e-9
 
-    def test_escaping_vertex_raises(self, unit_square):
+    def test_escaping_vertex_raises(self, unit_square, monkeypatch):
         # a strip of half the width cannot hold the body
         body = metrics(unit_square)
+        doctored = replace(body, width=0.5 * body.width)
+        monkeypatch.setattr(quantitative, "metrics", lambda poly: doctored)
         with pytest.raises(ContainmentFailure):
-            enclosing_rectangle(unit_square, replace(body, width=0.5 * body.width))
+            enclosing_rectangle(unit_square)
 
 
 class TestTheorem2:

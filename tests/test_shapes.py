@@ -58,8 +58,7 @@ class TestRectangle:
         for l in (0.0, -0.5, 1.0, 2.0, math.nan):
             with pytest.raises(BadParameter):
                 rectangle(l)
-        for args in ((math.nan, 2.0), (0.1, math.nan), (0.1, 2.0, math.nan),
-                     (math.inf, 2.0), (0.5, math.inf), (0.1, 2.0, 2.5), (0.1, 2.0, math.inf),
+        for args in ((math.nan, 2.0), (0.1, math.nan), (math.inf, 2.0), (0.5, math.inf),
                      # a power overflows and the bound lies outside double range
                      (3.0, 1.0000001), (1e-310, 2.0)):
             with pytest.raises(BadParameter):
@@ -96,7 +95,7 @@ class TestCylinder:
         p, n, H = 2.0, 3, 4.0
         q = q_exponent(p)
         for l in (1e-2, 1e-3, 1e-4):
-            prod = slab_upper_bound(l, p, n) * cylinder_perimeter(l, n, H) ** q
+            prod = slab_upper_bound(l, p) * cylinder_perimeter(l, n, H) ** q
             expected = c_p(p) * (1.0 + l ** (n / (n - 1.0)) / 2.0 * H) ** q
             assert prod == pytest.approx(expected, rel=1e-12)
         assert prod == pytest.approx(c_p(p), rel=1e-5)
@@ -237,7 +236,6 @@ def test_whole_numbers_of_any_size():
     # an int is taken as it is, never through float(): 10**400 is a valid n
     # and a k beyond every cap; a fractional or boolean value is not whole
     n = 10**400
-    assert slab_upper_bound(0.1, 2.0, n) == slab_upper_bound(0.1, 2.0)
     assert cylinder_perimeter(0.1, n, 1.0) == 2.0 / 0.1 + 1.0
     with pytest.raises(BadParameter):
         torsion_p_ball(2.0, 1.0, n)
