@@ -136,13 +136,12 @@ def _integral(t, live, num, den):
     return [(float(((t[1:] - t[:-1]) * (g[1:] + g[:-1]) / 2.0).sum()), 1.0), (math.e, shift)]
 
 
-def _web_integral(prof: ParallelProfile, p: float) -> float:
+def _web_integral(prof: ParallelProfile, p: float, q: float) -> float:
     """Trapezoid value of the integral of mu_f^q / P^{1/(p-1)} over [0, R].
 
     The integrand is 0 where P vanishes (it tends to 0 there) and at the
-    inradius endpoint.
+    inradius endpoint. q = q_exponent(p) comes from the caller.
     """
-    q = q_exponent(p)
     P = prof.perimeters
     live = P > 0.0
     live[-1] = False
@@ -150,8 +149,9 @@ def _web_integral(prof: ParallelProfile, p: float) -> float:
                   f"the web integral at p = {p!r}")
 
 
-def _refinement(prof: ParallelProfile, p: float) -> float:
-    """The refined bound minus the closed bound, never negative.
+def _refinement(prof: ParallelProfile, p: float, q: float, cp: float) -> float:
+    """The refined bound minus the closed bound, never negative; the caller
+    passes q = q_exponent(p) and cp = c_p(p).
 
     Constant f: c_p q f(0)^q times the integral of (mu/P)^gamma (-P') dt,
     gamma = (2p-1)/(p-1), which recovers the full web integral in the
@@ -162,10 +162,8 @@ def _refinement(prof: ParallelProfile, p: float) -> float:
     Other f: c_p / P^q times the trapezoid value of the integral of
     mu_f^gamma / f^2 (-f') dt, with f' from the weight's analytic slope.
     """
-    q = q_exponent(p)
     gamma = q + 1.0
     w = prof.weight
-    cp = c_p(p)
     if w.is_constant:
         P, mu = prof.perimeters, prof.areas
         phi = np.zeros_like(P)
@@ -211,8 +209,8 @@ def bound_report(prof: ParallelProfile, p: float) -> BoundSet:
         q=q,
         c_p=cp,
         closed=closed,
-        refined=closed + _refinement(prof, p),
-        integral=_web_integral(prof, p),
+        refined=closed + _refinement(prof, p, q, cp),
+        integral=_web_integral(prof, p, q),
         inf_weight=inf_weight,
         f_p_window=(cp, makai_upper(p)),
     )

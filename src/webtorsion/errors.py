@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one integer rule."""
+import operator
 
 
 class WebTorsionError(Exception):
@@ -30,6 +31,17 @@ class BadParameter(WebTorsionError, ValueError):
     key, a weight, a depth, a mesh size or tolerance, a corpus setting, or a
     torsion value that is not finite and positive. It is a ValueError too, so
     argparse type functions and ``except ValueError`` callers still catch it."""
+
+
+def _integer(value, what: str) -> int:
+    """value as an int, the one rule for every count, index and dimension: an
+    integer of any size, a numpy one too; a bool or a float raises BadParameter."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParameter(f"{what} = {value!r} is not an integer")
 
 
 class TooFine(WebTorsionError):

@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 
 from .bounds import bound_report
-from .errors import BadParameter, Degenerate, NonConvex, RejectionOverflow, ViolationFound
+from .errors import BadParameter, Degenerate, NonConvex, RejectionOverflow, ViolationFound, _integer
 from .geometry import ConvexPolygon, metrics, polygon_from_vertices
-from .parallel import DEFAULT_GRID, WeightProfile, _check_grid, profile, steiner_check
+from .parallel import DEFAULT_GRID, SLACK_REL_TOL, WeightProfile, _check_grid, profile, steiner_check
 from .quantitative import theorem2_report, theorem3_report
 from .shapes import isosceles_triangle, rectangle, slab_upper_bound, stadium_of_width
 from .solver import richardson_T
@@ -28,7 +28,6 @@ WIDTH_INRADIUS_HI = 3.0
 SCOTT_COEFF = 2.0 / math.sqrt(3.0)
 DIAM_PER_LO = 2.0
 DIAM_PER_HI = math.pi
-SUITE_REL_TOL = 1e-9
 
 
 class SplitMix64:
@@ -63,6 +62,8 @@ class FuzzConfig:
     tau_max: float = 1.0
 
     def __post_init__(self):
+        for name in ("seed", "count", "min_vertices", "max_vertices"):
+            _integer(getattr(self, name), name)
         if self.count < 0:
             raise BadParameter(f"corpus size {self.count} must be non-negative")
         if not (3 <= self.min_vertices <= self.max_vertices <= 64):
@@ -80,7 +81,7 @@ def random_convex_body(config: FuzzConfig, index: int) -> ConvexPolygon:
     tau drawn uniformly from [tau_min, tau_max]. Bodies with area below 1e-6
     are redrawn; more than 1000 consecutive rejections raise.
     """
-    rng = SplitMix64(config.seed ^ ((index + 1) * _GOLDEN & _MASK))
+    rng = SplitMix64(config.seed ^ ((_integer(index, "case index") + 1) * _GOLDEN & _MASK))
     span = config.max_vertices - config.min_vertices + 1
     for _ in range(1000):
         n_pts = config.min_vertices + rng.next_u64() % span
@@ -139,7 +140,7 @@ def classical_inequality_suite(
     When steiner_grid is given, the inner-parallel profile at that grid size
     is built and its Steiner inequalities are checked as well. All slacks are
     normalized by the natural scale of their inequality; a window slack below
-    -SUITE_REL_TOL is a breach.
+    -SLACK_REL_TOL is a breach.
     """
     m = metrics(polygon)
     area, P, R, w, diam = m.area, m.perimeter, m.inradius, m.width, m.diameter
@@ -155,7 +156,7 @@ def classical_inequality_suite(
         "isoperimetric": (P * P - 4.0 * math.pi * area) / (P * P),
     }
     for name, slack in slacks.items():
-        if slack < -SUITE_REL_TOL:
+        if slack < -SLACK_REL_TOL:
             raise ViolationFound(name, slack)
     if steiner_grid is not None:
         prof = profile(polygon, WeightProfile.constant(1.0), steiner_grid)

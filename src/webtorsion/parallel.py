@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, GridTooCoarse, TooFine, ViolationFound
+from .errors import BadParameter, GridTooCoarse, TooFine, ViolationFound, _integer
 from .geometry import BodyMetrics, ConvexPolygon, metrics, _canonicalize, _shoelace
 
 DEFAULT_GRID = 512
 _MIN_GRID = 64
 # largest grid size: a profile holds about a dozen (m + 1)-float arrays
 _MAX_GRID = 1 << 20
-# relative tolerance of the Steiner checks, read at call time
-STEINER_REL_TOL = 1e-9
+# a slack below -SLACK_REL_TOL times the natural scale of its inequality is a
+# breach, in the profile's own checks, steiner_check and the harness suite
+SLACK_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,8 @@ class ParallelProfile:
             object.__setattr__(self, name, arr)
         m = self.metrics
         P, mu = self.perimeters, self.areas
-        tol_p = 1e-9 * m.perimeter
-        tol_a = 1e-9 * m.area
+        tol_p = SLACK_REL_TOL * m.perimeter
+        tol_a = SLACK_REL_TOL * m.area
         if np.any(np.diff(P) > tol_p):
             raise ViolationFound("perimeter-monotone", float(np.diff(P).max()), None)
         pos = mu > 0.0
@@ -167,7 +168,7 @@ class ParallelProfile:
                 raise ViolationFound("area-strict-decrease", 0.0, None)
             if np.any(mu[last + 1 :] != 0.0) or np.any(P[last + 1 :] != 0.0):
                 raise ViolationFound("trailing-zeros", 0.0, None)
-        if abs(mu[0] - m.area) > 1e-9 * m.area:
+        if abs(mu[0] - m.area) > tol_a:
             raise ViolationFound("area-at-zero", float(mu[0] - m.area), 0)
         if mu[-1] > 1e-6 * m.area + tol_a:
             raise ViolationFound("area-at-inradius", float(mu[-1]), len(mu) - 1)
@@ -180,8 +181,8 @@ class ParallelProfile:
 
 
 def _check_grid(m: int) -> None:
-    """Raise GridTooCoarse below _MIN_GRID and TooFine above _MAX_GRID."""
-    if m < _MIN_GRID:
+    """BadParameter unless m is an int, GridTooCoarse below _MIN_GRID, TooFine above _MAX_GRID."""
+    if _integer(m, "grid size") < _MIN_GRID:
         raise GridTooCoarse(f"grid size {m} below minimum {_MIN_GRID}")
     if m > _MAX_GRID:
         raise TooFine(f"grid size {m} above maximum {_MAX_GRID}")
@@ -260,7 +261,7 @@ def steiner_check(prof: ParallelProfile) -> SteinerReport:
 
     Returns the minimal slacks, those of the first two over the nodes t > 0
     (at t = 0 both hold with equality by construction); raises ViolationFound
-    when a slack falls below -STEINER_REL_TOL times the natural scale of its
+    when a slack falls below -SLACK_REL_TOL times the natural scale of its
     inequality.
     """
     m = prof.metrics
@@ -280,10 +281,10 @@ def steiner_check(prof: ParallelProfile) -> SteinerReport:
         area_slack=float(s2[i2]), area_node=i2,
         quotient_slack=float(q[i3]), quotient_node=i3,
     )
-    if report.perimeter_slack < -STEINER_REL_TOL * m.perimeter:
+    if report.perimeter_slack < -SLACK_REL_TOL * m.perimeter:
         raise ViolationFound("steiner-perimeter", report.perimeter_slack, i1)
-    if report.area_slack < -STEINER_REL_TOL * m.area:
+    if report.area_slack < -SLACK_REL_TOL * m.area:
         raise ViolationFound("steiner-area", report.area_slack, i2)
-    if report.quotient_slack < -STEINER_REL_TOL * 2 * np.pi:
+    if report.quotient_slack < -SLACK_REL_TOL * 2 * np.pi:
         raise ViolationFound("steiner-quotient", report.quotient_slack, i3)
     return report

@@ -12,24 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _exp_in_range, _power, c_p, q_exponent
-from .errors import BadParameter
+from .errors import BadParameter, _integer
 from .geometry import ConvexPolygon, polygon_from_vertices
 
 # most vertices of a disk, or arc points of a stadium cap
 _MAX_POINTS = 1 << 16
-
-
-def _is_whole(value) -> bool:
-    """value is a whole number: an int of any size, taken as it is, or a
-    value whose float has no fractional part; a boolean is not."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or float(value).is_integer()
-
-
-def _is_dimension(n) -> bool:
-    """n is a whole number >= 2 (see _is_whole)."""
-    return n >= 2 and _is_whole(n)
 
 
 def slab_upper_bound(l: float, p: float) -> float:
@@ -52,7 +39,7 @@ def cylinder_perimeter(l: float, n: int, boundary_measure_of_c: float | None = N
     For n = 2 the cross-section C is a unit segment and the boundary measure
     defaults to 2 (its two endpoints).
     """
-    if not (0.0 < l < math.inf and _is_dimension(n)):
+    if not (0.0 < l < math.inf and _integer(n, "n") >= 2):
         raise BadParameter("need a finite l > 0 and an integer n >= 2")
     if boundary_measure_of_c is None:
         if n != 2:
@@ -75,7 +62,7 @@ def torsion_p_ball(p: float, radius: float = 1.0, n: int = 2) -> float:
     q = 1 + 1/(p-1), and BadParameter is raised when T lies outside double
     range.
     """
-    if not (1.0 < p < math.inf and 0.0 < radius < math.inf and _is_dimension(n)):
+    if not (1.0 < p < math.inf and 0.0 < radius < math.inf and _integer(n, "n") >= 2):
         raise BadParameter("need finite p > 1 and radius > 0, and an integer n >= 2")
     q = q_exponent(p)
     try:
@@ -161,6 +148,16 @@ def isosceles_triangle(l: float):
     return poly, rec
 
 
+def _point_count(k, what: str) -> int:
+    """k as an int (_integer) in [64, _MAX_POINTS]; what names the points."""
+    k = _integer(k, f"the number of {what}")
+    if k < 64:
+        raise BadParameter(f"need at least 64 {what}, got {k}")
+    if k > _MAX_POINTS:
+        raise BadParameter(f"need at most {_MAX_POINTS} {what}, got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class StadiumRecord:
     """Exact data for the stadium: hull of two radius-r disks at distance a."""
@@ -177,10 +174,7 @@ def stadium(r: float, a: float, k: int = 256):
     """Polygonal stadium with k arc points per cap; returns (polygon, record)."""
     if not (0.0 < r < math.inf and 0.0 <= a < math.inf):
         raise BadParameter(f"need finite r > 0 and a >= 0, got r = {r!r}, a = {a!r}")
-    if k < 64:
-        raise BadParameter(f"need at least 64 arc points per cap, got {k}")
-    if k > _MAX_POINTS:
-        raise BadParameter(f"need at most {_MAX_POINTS} arc points per cap, got {k}")
+    k = _point_count(k, "arc points per cap")
     up = np.linspace(-np.pi / 2.0, np.pi / 2.0, k)
     down = up[::-1]
     right = np.column_stack((a / 2.0 + r * np.cos(up), r * np.sin(up)))
@@ -215,10 +209,7 @@ def disk(radius: float = 1.0, k: int = 256):
     """Regular k-gon inscribed in the disk; returns (polygon, record)."""
     if not (0.0 < radius < math.inf):
         raise BadParameter(f"need a finite radius > 0, got {radius!r}")
-    if k < 64:
-        raise BadParameter(f"need at least 64 vertices, got {k}")
-    if k > _MAX_POINTS:
-        raise BadParameter(f"need at most {_MAX_POINTS} vertices, got {k}")
+    k = _point_count(k, "vertices")
     thetas = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
     pts = radius * np.column_stack((np.cos(thetas), np.sin(thetas)))
     poly = ConvexPolygon(pts)
@@ -241,12 +232,9 @@ def stadium_of_width(l: float, k: int = 256):
     return stadium(r, a, k)
 
 
-def _integer(value) -> int:
-    """value as an int when it is a whole number (see _is_whole), of any
-    size; anything else is ill-typed."""
-    if not _is_whole(value):
-        raise BadParameter(f"{value!r} is not an integer")
-    return int(value)
+def _json_integer(value) -> int:
+    """A descriptor's k as an int: JSON has one number type, so 256.0 is 256."""
+    return _integer(int(value) if isinstance(value, float) and value.is_integer() else value, "k")
 
 
 def _param(desc: dict, key: str, cast=float, default=None):
@@ -277,7 +265,7 @@ def from_descriptor(desc: dict):
     if name == "triangle":
         return isosceles_triangle(_param(desc, "l"))
     if name == "stadium":
-        return stadium(_param(desc, "r"), _param(desc, "a"), _param(desc, "k", _integer, 256))
+        return stadium(_param(desc, "r"), _param(desc, "a"), _param(desc, "k", _json_integer, 256))
     if name == "disk":
-        return disk(_param(desc, "R", float, 1.0), _param(desc, "k", _integer, 256))
+        return disk(_param(desc, "R", float, 1.0), _param(desc, "k", _json_integer, 256))
     raise BadParameter(f"unknown shape descriptor {desc!r}")

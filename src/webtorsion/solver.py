@@ -7,10 +7,11 @@ nodes[n_boundary:] and every field is solved for on that slice. A mesh
 keeps its nodes in the order it builds them. One size rule (_factorized)
 sets how K_ff is inverted on a mesh at every p: by its sparse LU, or, on a
 refined mesh with more than _MG_MIN_FREE free nodes, by one multigrid
-V-cycle that recurses on the mesh's parent (_vcycle). Every solve first
-solves p = 2 (_solve_p2), by the LU or by V-cycle CG. At other p a nonlinear conjugate gradient
-iteration, preconditioned with the same inverse, continues from the scaled
-p = 2 solution, carrying its iterate's slopes G x and load term F . x. Its
+V-cycle that recurses on the mesh's parent (_vcycle). Each p runs one
+solver: p = 2 the linear solve (_solve_p2), by the LU or V-cycle CG, and
+other p a nonlinear conjugate gradient iteration (_ncg), preconditioned
+with the same inverse, from the step _vcycle(F) scaled to its optimal
+amplitude, carrying its iterate's slopes G x and load term F . x. Its
 line search is a safeguarded Newton search on the convex phi(a) =
 J(x + a d): with G d and F . d formed once per search direction, a
 trial at step a has slopes G x + a G d and load term F . x + a F . d, and
@@ -34,7 +35,7 @@ are then recomputed from the iterate and the guard must hold for the
 recomputed energy too. Either stop recomputes the state from the iterate, so
 a result's energy and gradient are those of its field, and the result names
 its stop. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
-and sum area |grad u|^p for the iteration and its warm start. A mesh builds
+and sum area |grad u|^p for the iteration and its starting scale. A mesh builds
 its gradient operator, stiffness matrix, LU or smoother once, on first use,
 and the transpose of the gradient operator on its first nonlinear solve;
 every solve on it, for any p and weight, shares them.
@@ -513,12 +514,12 @@ def _dirichlet(mesh: Mesh, g: np.ndarray, p: float, eps2: float = 0.0):
     return s, e, float(np.sum(e))
 
 
-def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
-    """Nonlinear CG from the p = 2 solution x, preconditioned by the mesh's
-    inverse of K_ff (_vcycle): returns the minimizer on the free nodes,
-    its Dirichlet sum sum area (|grad x|^2 + eps2)^(p/2), its load term
-    F . x, its energy gradient, the iteration count and the stop reason,
-    "decrement" or "plateau"."""
+def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float):
+    """Nonlinear CG from the scaled step _vcycle(F, mesh), preconditioned by
+    the mesh's inverse of K_ff (_vcycle): returns the minimizer on the free
+    nodes, its Dirichlet sum sum area (|grad x|^2 + eps2)^(p/2), its load
+    term F . x, its energy gradient, the iteration count and the stop
+    reason, "decrement" or "plateau"."""
     G, GT = mesh._gradient, mesh._gradient_T
     area = mesh.triangle_areas
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
@@ -547,7 +548,9 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float, x: np.ndarray):
         w = e / s
         return float(w @ t) - Fd, float(w @ (dd + (p - 2.0) * t * t / s))
 
-    # warm start: scale the linear solution to its own optimal amplitude
+    # start: one preconditioned step, the p = 2 solution on a factorized
+    # mesh, scaled to its own optimal amplitude
+    x = _vcycle(F, mesh)
     a_p = _dirichlet(mesh, G @ x, p)[2]
     b_lin = float(F @ x)
     x = x * (b_lin / a_p) ** (1.0 / (p - 1.0)) if a_p > 0 else x
@@ -660,26 +663,29 @@ def _vcycle(r: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 
 def _solve_p2(mesh: Mesh, F: np.ndarray):
-    """x with K_ff x = F, and the iteration count: on a factorized mesh
-    (_factorized), its LU solve in 1 iteration; otherwise scipy's
-    conjugate gradients from x = 0, preconditioned by one V-cycle, until the
-    residual falls below _CG_RTOL |F|, or NoConvergence after _MAX_CG_ITERS
-    iterations. Each level smooths with 2 damped Jacobi sweeps before and 2
-    after the coarse correction P e, e from the parent's own K_ff, which
-    equals P^T K_ff P for nested P1 spaces. The cycle is symmetric, and
-    positive definite while omega lambda_max < 2 (Mesh._jacobi)."""
+    """The p = 2 solve of K_ff x = F, as _ncg's tuple: x, x . K_ff x, F . x,
+    the residual K_ff x - F, the iteration count and "linear". On a
+    factorized mesh (_factorized) x is its LU solve, 1 iteration; otherwise
+    scipy's conjugate gradients from x = 0, preconditioned by one V-cycle,
+    until the residual falls below _CG_RTOL |F|, or NoConvergence after
+    _MAX_CG_ITERS iterations. The V-cycle is symmetric, and positive
+    definite while omega lambda_max < 2 (Mesh._jacobi); its coarse K_ff,
+    the parent's own, equals P^T K_ff P for nested P1 spaces."""
     if _factorized(mesh):
-        return mesh._stiffness_lu.solve(F), 1
-    from scipy.sparse.linalg import LinearOperator, cg
+        x, iterations = mesh._stiffness_lu.solve(F), 1
+    else:
+        from scipy.sparse.linalg import LinearOperator, cg
 
-    K = mesh._stiffness.T
-    vcycle = LinearOperator(K.shape, matvec=lambda r: _vcycle(r, mesh), dtype=F.dtype)
-    steps = []  # one entry per iteration
-    x, info = cg(K, F, rtol=_CG_RTOL, atol=0.0, maxiter=_MAX_CG_ITERS, M=vcycle,
-                 callback=steps.append)
-    if info > 0:
-        raise NoConvergence(f"V-cycle CG did not reach {_CG_RTOL:g} in {_MAX_CG_ITERS} iterations")
-    return x, len(steps)
+        K = mesh._stiffness.T
+        vcycle = LinearOperator(K.shape, matvec=lambda r: _vcycle(r, mesh), dtype=F.dtype)
+        steps = []  # one entry per iteration
+        x, info = cg(K, F, rtol=_CG_RTOL, atol=0.0, maxiter=_MAX_CG_ITERS, M=vcycle,
+                     callback=steps.append)
+        if info > 0:
+            raise NoConvergence(f"V-cycle CG did not reach {_CG_RTOL:g} in {_MAX_CG_ITERS} iterations")
+        iterations = len(steps)
+    Kx = mesh._stiffness @ x
+    return x, float(x @ Kx), float(F @ x), Kx - F, iterations, "linear"
 
 
 def solve_torsion(
@@ -690,11 +696,11 @@ def solve_torsion(
 ) -> TorsionResult:
     """Minimize the torsion energy over P1 fields vanishing on the boundary.
 
-    Every p first solves p = 2, K_ff x = F (_solve_p2): by the mesh's LU,
-    or, on a refined mesh above _MG_MIN_FREE free nodes, by V-cycle CG to a
-    relative residual of 1e-12. At other p, nonlinear conjugate gradients
-    preconditioned by the same LU or V-cycle continue from x, and count the
-    result's iterations. They stop when the Newton decrement puts J within
+    Each p runs one solver. p = 2 solves K_ff x = F (_solve_p2): by the
+    mesh's LU, or, on a refined mesh above _MG_MIN_FREE free nodes, by
+    V-cycle CG to a relative residual of 1e-12. Other p run nonlinear CG
+    (_ncg) from the scaled step _vcycle(F), preconditioned by the same LU
+    or V-cycle. They stop when the Newton decrement puts J within
     tol |J| / 10 of its minimum (stop_reason "decrement"), so tol bounds the
     relative energy error of the returned field, as far as the decrement's
     Hessian estimate goes. Where the decrement stays larger, as near
@@ -720,13 +726,8 @@ def solve_torsion(
     if len(F) == 0:
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
-    x, iterations = _solve_p2(mesh, F)
-    stop = "linear"
-    if p == 2.0:
-        Kx = mesh._stiffness @ x
-        dirichlet, Fx, residual = float(x @ Kx), float(F @ x), Kx - F
-    else:
-        x, dirichlet, Fx, residual, iterations, stop = _ncg(mesh, F, p, tol, x)
+    x, dirichlet, Fx, residual, iterations, stop = (
+        _solve_p2(mesh, F) if p == 2.0 else _ncg(mesh, F, p, tol))
     u[mesh.n_boundary:] = x
     J = dirichlet / p - Fx
     T = Fx ** (p / (p - 1.0)) / dirichlet ** (1.0 / (p - 1.0)) if dirichlet > 0.0 else 0.0

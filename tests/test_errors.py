@@ -10,8 +10,9 @@ import webtorsion
 from webtorsion import cli, shapes
 from webtorsion.errors import BadParameter, WebTorsionError
 from webtorsion.geometry import polygon_from_vertices
-from webtorsion.harness import FuzzConfig, run_sequence
-from webtorsion.parallel import WeightProfile, inner_body
+from webtorsion.harness import (FuzzConfig, classical_inequality_suite, fuzz_suite,
+                                random_convex_body, run_sequence)
+from webtorsion.parallel import WeightProfile, inner_body, profile
 from webtorsion.solver import richardson_T, solve_torsion, triangulate
 
 SQUARE = polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -40,7 +41,19 @@ BAD_INPUTS = {
     "sequence kind": lambda tmp: run_sequence("pentagon", (0.2,), 2.0),
     "deficit h": _deficit_with_too_coarse_h,
     "cli command": lambda tmp: cli._run(argparse.Namespace(command="bogus")),
-    "descriptor integer": lambda tmp: shapes._integer(2.5),
+    "descriptor integer": lambda tmp: shapes.from_descriptor({"shape": "disk", "k": 2.5}),
+    # a count is an int: a float, even a whole one, or NaN is not
+    "profile grid": lambda tmp: profile(SQUARE, W1, 100.0),
+    "profile grid nan": lambda tmp: profile(SQUARE, W1, math.nan),
+    "suite grid": lambda tmp: classical_inequality_suite(SQUARE, 100.0),
+    "fuzz grid": lambda tmp: fuzz_suite(FuzzConfig(count=1), 100.0),
+    "sequence grid": lambda tmp: run_sequence("rectangle", (0.4,), 2.0, 100.0),
+    "disk vertices": lambda tmp: shapes.disk(1.0, 64.0),
+    "stadium arc points": lambda tmp: shapes.stadium(1.0, 1.0, 64.5),
+    "corpus seed": lambda tmp: FuzzConfig(seed=1.5),
+    "corpus count": lambda tmp: FuzzConfig(count=2.5),
+    "corpus vertex count": lambda tmp: FuzzConfig(min_vertices=3.5),
+    "case index": lambda tmp: random_convex_body(FuzzConfig(), 1.5),
 }
 
 

@@ -968,6 +968,25 @@ class TestMultigrid:
         assert res.iterations < 200
         assert res.torsion == pytest.approx(ref.torsion, rel=1e-9, abs=0.0)
 
+    def test_one_solver_per_exponent(self, unit_square, monkeypatch):
+        # p = 2 is one LU solve on a triangulated mesh; other p never run the
+        # p = 2 solve, there or on a refined mesh that takes the V-cycle
+        lu_mesh = triangulate(unit_square, 1.0 / 16)
+        res = solve_torsion(lu_mesh, W1, 2.0)
+        assert (res.stop_reason, res.iterations) == ("linear", 1)
+        monkeypatch.setattr(solver_mod, "_MG_MIN_FREE", 64)
+        mg_mesh = _refined_times(triangulate(unit_square, 1.0 / 16), 2)[-1]
+        assert not solver_mod._factorized(mg_mesh)
+
+        def no_p2_solve(mesh, F):
+            raise AssertionError("the p = 2 solve ran at p != 2")
+
+        monkeypatch.setattr(solver_mod, "_solve_p2", no_p2_solve)
+        for mesh in (lu_mesh, mg_mesh):
+            for p in (1.5, 3.0):
+                res = solve_torsion(mesh, W1, p)
+                assert res.stop_reason in ("decrement", "plateau") and res.torsion > 0.0
+
     def test_smoother_below_two(self, unit_square):
         # V-cycle CG needs omega lambda_max(D^-1 K_ff) < 2; lambda_max of
         # D^-1 K_ff scaled by omega is that of the symmetric W^1/2 K_ff W^1/2,
