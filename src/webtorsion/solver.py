@@ -8,10 +8,11 @@ keeps its nodes in the order it builds them. One size rule (_factorized)
 sets how K_ff is inverted on a mesh at every p: by its sparse LU, or, on a
 refined mesh with more than _MG_MIN_FREE free nodes, by one multigrid
 V-cycle that recurses on the mesh's parent (_vcycle). Each p runs one
-solver: p = 2 the linear solve (_solve_p2), by the LU or V-cycle CG, and
-other p a nonlinear conjugate gradient iteration (_ncg), preconditioned
-with the same inverse, from the step _vcycle(F) scaled to its optimal
-amplitude, carrying its iterate's slopes G x and load term F . x. Its
+solver: p = 2 the linear solve (_solve_p2), by the LU or by V-cycle CG
+stopped when its estimate of T's error is small, and other p a nonlinear
+conjugate gradient iteration (_ncg), preconditioned with the same inverse,
+from the step _vcycle(F) scaled to its optimal amplitude, carrying its
+iterate's slopes G x and load term F . x. Its
 line search is a safeguarded Newton search on the convex phi(a) =
 J(x + a d): with G d and F . d formed once per search direction, a
 trial at step a has slopes G x + a G d and load term F . x + a F . d, and
@@ -34,11 +35,12 @@ instead, when J fell by less than tol |J| over 10 iterations; G x and F . x
 are then recomputed from the iterate and the guard must hold for the
 recomputed energy too. Either stop recomputes the state from the iterate, so
 a result's energy and gradient are those of its field, and the result names
-its stop. One kernel, _dirichlet, turns slopes into |grad u|^2 per triangle
-and sum area |grad u|^p for the iteration and its starting scale. A mesh builds
-its gradient operator, stiffness matrix, LU or smoother once, on first use,
-and the transpose of the gradient operator on its first nonlinear solve;
-every solve on it, for any p and weight, shares them.
+its stop and its final relative decrement. One kernel, _dirichlet, turns
+slopes into |grad u|^2 per triangle and sum area |grad u|^p for the
+iteration and its starting scale. A mesh builds its gradient operator,
+stiffness matrix, LU or smoother once, on first use, and the transpose of
+the gradient operator on its first nonlinear solve; every solve on it, for
+any p and weight, shares them.
 
 A solve reports one torsion value: the Rayleigh quotient of its own field,
 T = (F . x)^{p/(p-1)} / D^{1/(p-1)} with D the Dirichlet sum, which is the
@@ -98,8 +100,9 @@ _EPS_REG = 1e-10
 # a refined mesh with more free nodes than this is inverted by a V-cycle at
 # every p; smaller meshes, and every V-cycle's coarsest level, use the LU
 _MG_MIN_FREE = 1 << 13
-# V-cycle CG: relative residual to reach, and the iteration cap
-_CG_RTOL = 1e-12
+# V-cycle CG: the relative p = 2 decrement r . z / F . x to reach, and the
+# iteration cap
+_CG_DECREMENT = 1e-15
 _MAX_CG_ITERS = 1_000
 # power steps of the smoother's lambda_max estimate
 _POWER_STEPS = 10
@@ -473,7 +476,11 @@ class TorsionResult:
     says how the solve ended: "linear" at p = 2 (and when no node is free),
     "decrement" when the nonlinear iteration reached a minimizer to within
     its tolerance, and "plateau" when it stopped because the energy stalled,
-    with the Newton decrement still above it.
+    with the Newton decrement still above it. decrement is the relative
+    Newton decrement lambda^2 / (2 |J|) at the stop: 0 for an LU solve (and
+    when no node is free), r . z / F . x for V-cycle CG at p = 2, and at
+    most tol / 10 for a "decrement" stop, so a "plateau" stop's value says
+    how far its field may lie from the minimizer.
     """
 
     mesh: Mesh
@@ -485,6 +492,7 @@ class TorsionResult:
     iterations: int
     grad_norm: float
     stop_reason: str = "linear"
+    decrement: float = 0.0
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -519,7 +527,8 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float):
     the mesh's inverse of K_ff (_vcycle): returns the minimizer on the free
     nodes, its Dirichlet sum sum area (|grad x|^2 + eps2)^(p/2), its load
     term F . x, its energy gradient, the iteration count and the stop
-    reason, "decrement" or "plateau"."""
+    reason, "decrement" or "plateau", and its last relative decrement
+    lambda^2 / (2 |J|)."""
     G, GT = mesh._gradient, mesh._gradient_T
     area = mesh.triangle_areas
     eps2 = (_EPS_REG * metrics(mesh.polygon).diameter) ** 2
@@ -625,9 +634,10 @@ def _ncg(mesh: Mesh, F: np.ndarray, p: float, tol: float):
         lam2 = gz_new * float(area @ s) / ((p - 1.0) * dirichlet)
         minimal = 0.5 * lam2 <= 0.1 * tol * abs(J)
         if minimal or plateau:
+            decrement = 0.5 * lam2 / abs(J)
             Gx, Fx, (s, e, dirichlet, J) = recomputed(x)
             return (x, dirichlet, Fx, gradient(Gx, s, e), n_iter,
-                    "decrement" if minimal else "plateau")
+                    "decrement" if minimal else "plateau", decrement)
         beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
         d = -z_new + beta * d
         g, z, gz = g_new, z_new, gz_new
@@ -664,28 +674,39 @@ def _vcycle(r: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 def _solve_p2(mesh: Mesh, F: np.ndarray):
     """The p = 2 solve of K_ff x = F, as _ncg's tuple: x, x . K_ff x, F . x,
-    the residual K_ff x - F, the iteration count and "linear". On a
-    factorized mesh (_factorized) x is its LU solve, 1 iteration; otherwise
-    scipy's conjugate gradients from x = 0, preconditioned by one V-cycle,
-    until the residual falls below _CG_RTOL |F|, or NoConvergence after
-    _MAX_CG_ITERS iterations. The V-cycle is symmetric, and positive
+    the residual K_ff x - F, the iteration count, "linear" and the relative
+    decrement at the stop. On a factorized mesh (_factorized) x is its LU
+    solve, 1 iteration, decrement 0; otherwise conjugate gradients from
+    x = 0, preconditioned by one V-cycle, stopped on the p = 2 Newton
+    decrement. Started at 0, CG keeps F . x_k = x_k . K_ff x_k, so T_k =
+    F . x_k and T - T_k = r . K_ff^-1 r for the residual r = F - K_ff x_k;
+    r . z with z the V-cycle of r estimates it, and the iteration stops when
+    r . z <= _CG_DECREMENT F . x, reporting r . z / F . x. NoConvergence
+    after _MAX_CG_ITERS iterations. The V-cycle is symmetric, and positive
     definite while omega lambda_max < 2 (Mesh._jacobi); its coarse K_ff,
     the parent's own, equals P^T K_ff P for nested P1 spaces."""
     if _factorized(mesh):
-        x, iterations = mesh._stiffness_lu.solve(F), 1
+        x, iterations, decrement = mesh._stiffness_lu.solve(F), 1, 0.0
     else:
-        from scipy.sparse.linalg import LinearOperator, cg
-
-        K = mesh._stiffness.T
-        vcycle = LinearOperator(K.shape, matvec=lambda r: _vcycle(r, mesh), dtype=F.dtype)
-        steps = []  # one entry per iteration
-        x, info = cg(K, F, rtol=_CG_RTOL, atol=0.0, maxiter=_MAX_CG_ITERS, M=vcycle,
-                     callback=steps.append)
-        if info > 0:
-            raise NoConvergence(f"V-cycle CG did not reach {_CG_RTOL:g} in {_MAX_CG_ITERS} iterations")
-        iterations = len(steps)
+        K = mesh._stiffness.T  # K_ff is symmetric: its CSR form, as in _vcycle
+        x, r = np.zeros_like(F), F.copy()
+        z = _vcycle(r, mesh)
+        d, rz, Fx, iterations = z, float(r @ z), 0.0, 0
+        while rz > _CG_DECREMENT * Fx:
+            if iterations == _MAX_CG_ITERS:
+                raise NoConvergence(f"V-cycle CG did not reach the decrement {_CG_DECREMENT:g}"
+                                    f" in {_MAX_CG_ITERS} iterations")
+            Kd = K @ d
+            a = rz / float(d @ Kd)
+            x += a * d
+            r -= a * Kd
+            z = _vcycle(r, mesh)
+            rz, rz_old, Fx = float(r @ z), rz, float(F @ x)
+            d = z + (rz / rz_old) * d
+            iterations += 1
+        decrement = rz / Fx if Fx > 0.0 else 0.0
     Kx = mesh._stiffness @ x
-    return x, float(x @ Kx), float(F @ x), Kx - F, iterations, "linear"
+    return x, float(x @ Kx), float(F @ x), Kx - F, iterations, "linear", decrement
 
 
 def solve_torsion(
@@ -698,18 +719,20 @@ def solve_torsion(
 
     Each p runs one solver. p = 2 solves K_ff x = F (_solve_p2): by the
     mesh's LU, or, on a refined mesh above _MG_MIN_FREE free nodes, by
-    V-cycle CG to a relative residual of 1e-12. Other p run nonlinear CG
-    (_ncg) from the scaled step _vcycle(F), preconditioned by the same LU
-    or V-cycle. They stop when the Newton decrement puts J within
-    tol |J| / 10 of its minimum (stop_reason "decrement"), so tol bounds the
-    relative energy error of the returned field, as far as the decrement's
-    Hessian estimate goes. Where the decrement stays larger, as near
-    p = 1.1 to 1.3, they stop when the relative energy decrease stays below
-    tol over 10 successive iterations (stop_reason "plateau"); such a field
-    may lie further than tol from the minimum. tol must be finite and
-    positive; it does nothing at p = 2, whose field is the LU solve's or the
-    V-cycle CG's at the fixed relative residual _CG_RTOL = 1e-12. Raises
-    NoConvergence when the line search or an iteration cap runs out.
+    V-cycle CG until its estimate of T - T_k falls to _CG_DECREMENT = 1e-15
+    of T_k. Other p run nonlinear CG (_ncg) from the scaled step
+    _vcycle(F), preconditioned by the same LU or V-cycle. They stop when
+    the Newton decrement puts J within tol |J| / 10 of its minimum
+    (stop_reason "decrement"), so tol bounds the relative energy error of
+    the returned field, as far as the decrement's Hessian estimate goes.
+    Where the decrement stays larger, as near p = 1.1 to 1.3, they stop
+    when the relative energy decrease stays below tol over 10 successive
+    iterations (stop_reason "plateau"); such a field may lie further than
+    tol from the minimum. tol must be finite and positive; it does nothing
+    at p = 2, whose field is the LU solve's or the V-cycle CG's at that
+    fixed decrement. The result's decrement is the relative decrement at
+    the stop (TorsionResult). Raises NoConvergence when the line search or
+    an iteration cap runs out.
 
     The result's torsion is the quotient (F . x)^{p/(p-1)} / D^{1/(p-1)} of
     the returned field x, D its Dirichlet sum: x . K_ff x at p = 2, and at
@@ -726,13 +749,13 @@ def solve_torsion(
     if len(F) == 0:
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
-    x, dirichlet, Fx, residual, iterations, stop = (
+    x, dirichlet, Fx, residual, iterations, stop, decrement = (
         _solve_p2(mesh, F) if p == 2.0 else _ncg(mesh, F, p, tol))
     u[mesh.n_boundary:] = x
     J = dirichlet / p - Fx
     T = Fx ** (p / (p - 1.0)) / dirichlet ** (1.0 / (p - 1.0)) if dirichlet > 0.0 else 0.0
     return TorsionResult(mesh, u, p, weight, J, T, iterations, float(np.linalg.norm(residual)),
-                         stop)
+                         stop, decrement)
 
 
 @dataclass(frozen=True)

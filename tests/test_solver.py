@@ -377,6 +377,13 @@ class TestDiscretization:
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.fixture(scope="module")
+def disk_plateau():
+    """The p = 1.2 solve on disk(1, 256) at h = 0.05, which the plateau guard
+    stops after thousands of iterations."""
+    return solve_torsion(triangulate(disk(1.0, 256)[0], 0.05), W1, 1.2)
+
+
 class TestSolve:
     def test_square_p2(self, unit_square):
         mesh = triangulate(unit_square, 1.0 / 64)
@@ -434,11 +441,10 @@ class TestSolve:
             assert GT.format == "csr" and (GT != mesh._gradient.T).nnz == 0
             assert all(t is GT for t in transposes)
 
-    def test_carried_state_after_a_long_run(self):
+    def test_carried_state_after_a_long_run(self, disk_plateau):
         # thousands of carried line searches: the result's energy, gradient
         # and torsion are still those of the returned field
-        mesh = triangulate(disk(1.0, 256)[0], 0.05)
-        res = solve_torsion(mesh, W1, 1.2)
+        res = disk_plateau
         assert res.iterations > 1000
         # the decrement stays above 1e-6 |J| here: the plateau guard stops it
         assert res.stop_reason == "plateau"
@@ -534,6 +540,14 @@ class TestStopRule:
         # the decrement stop lands within tol of the minimum's T
         for _, res, tight in corpus_solves:
             assert res.torsion == pytest.approx(tight.torsion, rel=1e-10, abs=0.0)
+
+    def test_reports_its_decrement(self, corpus_solves, disk_plateau):
+        # a "decrement" stop reports lambda^2 / (2 |J|) at most tol / 10, the
+        # default tol being 1e-10; the p = 1.2 plateau stop reports more
+        for _, res, tight in corpus_solves:
+            assert 0.0 < res.decrement <= 1e-11
+            assert 0.0 < tight.decrement <= 1e-14
+        assert disk_plateau.stop_reason == "plateau" and disk_plateau.decrement > 1e-11
 
     def test_iteration_ceiling(self, corpus_solves):
         # measured: 401 iterations at p = 1.5 and 177 at p = 3; with the
@@ -932,19 +946,27 @@ class TestMultigrid:
             res = solve_torsion(mesh, W1, 2.0)
             assert res.iterations > 1
             assert res.torsion == pytest.approx(self._lu_torsion(mesh), rel=1e-12)
+            # the stop is on the decrement, not the residual: grad_norm is
+            # the returned field's residual, and the decrement reached its
+            # threshold
             F = solver_mod._load_vector(mesh, W1)
-            assert res.grad_norm <= 1e-11 * np.linalg.norm(F)
+            x = res.u[mesh.n_boundary:]
+            residual = np.linalg.norm(mesh._stiffness @ x - F)
+            assert res.grad_norm == pytest.approx(residual, rel=1e-12)
+            assert 0.0 < res.decrement <= solver_mod._CG_DECREMENT
 
     def test_size_rule(self, unit_square):
         # a refined mesh above 2^13 free nodes takes the V-cycle at every p;
         # its LU is never built, and the V-cycle's LU is its parent's
         coarse, mid, fine = _refined_times(triangulate(unit_square, 1.0 / 24), 2)
         assert mid.node_count - mid.n_boundary <= solver_mod._MG_MIN_FREE
-        assert fine.node_count - fine.n_boundary > solver_mod._MG_MIN_FREE
+        assert fine.node_count - fine.n_boundary == 16_409 > solver_mod._MG_MIN_FREE
         assert solve_torsion(fine, W1, 3.0).torsion > 0
         assert "_stiffness_lu" not in fine.__dict__
         res = solve_torsion(fine, W1, 2.0)
-        assert res.iterations > 1
+        # V-cycle CG stops on T's decrement after 5 iterations, at the LU's
+        # T; a stop at a relative residual of 1e-12 needs 10
+        assert 1 < res.iterations <= 6
         assert "_stiffness_lu" not in fine.__dict__ and "_stiffness_lu" in mid.__dict__
         assert "_stiffness_lu" not in coarse.__dict__
         assert res.torsion == pytest.approx(self._lu_torsion(fine), rel=1e-12)
@@ -973,7 +995,7 @@ class TestMultigrid:
         # p = 2 solve, there or on a refined mesh that takes the V-cycle
         lu_mesh = triangulate(unit_square, 1.0 / 16)
         res = solve_torsion(lu_mesh, W1, 2.0)
-        assert (res.stop_reason, res.iterations) == ("linear", 1)
+        assert (res.stop_reason, res.iterations, res.decrement) == ("linear", 1, 0.0)
         monkeypatch.setattr(solver_mod, "_MG_MIN_FREE", 64)
         mg_mesh = _refined_times(triangulate(unit_square, 1.0 / 16), 2)[-1]
         assert not solver_mod._factorized(mg_mesh)
