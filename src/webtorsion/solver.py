@@ -37,10 +37,13 @@ recomputed energy too. Either stop recomputes the state from the iterate, so
 a result's energy and gradient are those of its field, and the result names
 its stop and its final relative decrement. One kernel, _dirichlet, turns
 slopes into |grad u|^2 per triangle and sum area |grad u|^p for the
-iteration and its starting scale. A mesh builds its gradient operator,
-stiffness matrix, LU or smoother once, on first use, and the transpose of
-the gradient operator on its first nonlinear solve; every solve on it, for
-any p and weight, shares them.
+iteration and its starting scale. A mesh builds its areas, gradient
+operator G, stiffness matrix, LU or smoother once, on first use, and the
+transpose of G on its first nonlinear solve; every solve on it, for any p
+and weight, shares them. Only a triangulated mesh reads its coordinates
+for the areas and hat-function slopes G is made of; a refined mesh's are
+its parent's, exactly rescaled. K_ff = (G^T D) G is one sparse product,
+with D = diag(area, area) a column scale of G^T's data.
 
 A solve reports one torsion value: the Rayleigh quotient of its own field,
 T = (F . x)^{p/(p-1)} / D^{1/(p-1)} with D the Dirichlet sum, which is the
@@ -135,8 +138,12 @@ class Mesh:
     on first use and cached, so every (weight, p) solve shares them. A mesh
     made by _refined holds the mesh it refines as parent and the
     prolongation P from the parent's free nodes to its own; a triangulated
-    mesh holds None in both. A refined mesh above _MG_MIN_FREE free nodes
-    never builds its own LU (_factorized).
+    mesh holds None in both. A triangulated mesh computes its areas and
+    hat-function slopes from its coordinates; a refined mesh takes them from
+    its parent, exactly rescaled: each child has a quarter of its parent's
+    area and 2 or -2 times its slopes (_slopes), which are recomputed, not
+    cached. A refined mesh above _MG_MIN_FREE free nodes never builds its
+    own LU (_factorized).
     """
 
     polygon: ConvexPolygon
@@ -157,11 +164,36 @@ class Mesh:
 
     @cached_property
     def triangle_areas(self) -> np.ndarray:
-        v = self.nodes[self.triangles]
-        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-        area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        if self.parent is None:
+            x, y = self._corners()
+            area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                          - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        else:  # each child is a half-scale copy of its parent
+            area = np.repeat(0.25 * self.parent.triangle_areas, 4)
         area.setflags(write=False)  # shared by every solve on the mesh
         return area
+
+    def _corners(self):
+        """The x- and y-coordinates of each triangle's vertices, (m, 3) each."""
+        return self.nodes[:, 0][self.triangles], self.nodes[:, 1][self.triangles]
+
+    def _slopes(self) -> np.ndarray:
+        """The hat functions' slopes, (2, m, 3): [0, t, i] and [1, t, i] the
+        x- and y-slope in triangle t of the hat function of its i-th vertex.
+        A triangulated mesh reads them from its coordinates. A refined mesh
+        rescales its parent's, recomputed rather than cached (_refined):
+        children 4t .. 4t + 2 take 2 times parent t's slopes, and child
+        4t + 3 takes -2 times them in the order (c, a, b)."""
+        if self.parent is None:
+            x, y = self._corners()
+            area2 = 2.0 * self.triangle_areas[:, None]
+            return np.stack(((y[:, [1, 2, 0]] - y[:, [2, 0, 1]]) / area2,
+                             (x[:, [2, 0, 1]] - x[:, [1, 2, 0]]) / area2))
+        S = 2.0 * self.parent._slopes()
+        out = np.empty((2, S.shape[1], 4, 3))
+        out[:, :, :3] = S[:, :, None]
+        np.negative(S[:, :, [2, 0, 1]], out=out[:, :, 3])
+        return out.reshape(2, -1, 3)
 
     @cached_property
     def _gradient(self) -> sp.csr_matrix:
@@ -170,16 +202,13 @@ class Mesh:
         Row t holds triangle t's free vertices in its own vertex order."""
         import scipy.sparse as sp
 
-        v = self.nodes[self.triangles]
-        x, y = v[:, :, 0], v[:, :, 1]
-        area2 = 2.0 * self.triangle_areas[:, None]
-        gx = (y[:, [1, 2, 0]] - y[:, [2, 0, 1]]) / area2
-        gy = (x[:, [2, 0, 1]] - x[:, [1, 2, 0]]) / area2
-        cols = self.triangles - self.n_boundary
+        cols = (self.triangles - self.n_boundary).ravel()
         keep = cols >= 0
-        indptr = np.concatenate(([0], np.cumsum(np.tile(np.count_nonzero(keep, axis=1), 2))))
+        kept = np.flatnonzero(keep)  # free (triangle, vertex) pairs, row by row
+        ends = np.cumsum(keep)[2::3]  # entries up to the end of each row
         return sp.csr_matrix(
-            (np.concatenate([gx[keep], gy[keep]]), np.tile(cols[keep], 2), indptr),
+            (np.take(self._slopes().reshape(2, -1), kept, axis=1).ravel(),
+             np.tile(cols[kept], 2), np.concatenate(([0], ends, ends[-1] + ends))),
             shape=(2 * len(self.triangles), self.node_count - self.n_boundary),
         )
 
@@ -191,11 +220,14 @@ class Mesh:
 
     @cached_property
     def _stiffness(self) -> sp.csc_matrix:
-        """K_ff = G^T diag(area, area) G, shared by the LU and the V-cycle."""
-        import scipy.sparse as sp
-
+        """K_ff = (G^T D) G with D = diag(area, area), shared by the LU and the
+        V-cycle: G^T in CSR form has G's rows as its columns, so D scales its
+        data column by column, and K_ff is one CSR product. K_ff is
+        symmetric, so its CSC form is that product's transpose view."""
         G = self._gradient
-        return (G.T @ sp.diags(np.tile(self.triangle_areas, 2)) @ G).tocsc()
+        GD = G.T.tocsr()
+        GD.data *= np.tile(self.triangle_areas, 2)[GD.indices]
+        return (GD @ G).T
 
     @cached_property
     def _stiffness_lu(self):
@@ -415,9 +447,15 @@ def _refined(coarse: Mesh) -> Mesh:
 
     Triangle t = (a, b, c) becomes 4 t ... 4 t + 3: (a, m_ab, m_ca),
     (m_ab, b, m_bc), (m_ca, m_bc, c) and (m_ab, m_bc, m_ca), with the
-    parent's orientation. The midpoint of a boundary edge (an edge of one
-    triangle) lies on a polygon edge and is a boundary node: the boundary
-    nodes are coarse's, then those midpoints. The free nodes follow:
+    parent's orientation. The first three are t shrunk by 1/2 about a, b
+    and c, their vertices in t's order, and the last is t reflected through
+    its centroid and shrunk by 1/2, with (m_ab, m_bc, m_ca) the images of
+    (c, a, b); so each child's area is t's / 4 and its hat-function slopes
+    are 2 or -2 times t's, which the refined mesh takes from its parent
+    (Mesh.triangle_areas, Mesh._slopes) rather than from its nodes. The
+    midpoint of a boundary edge (an edge of one triangle) lies on a polygon
+    edge and is a boundary node: the boundary nodes are coarse's, then
+    those midpoints. The free nodes follow:
     coarse's in their order, then the other midpoints. The P1 spaces are
     nested: the prolongation P is 1 at a kept free node, so its first rows
     are the identity, and 1/2 from each free end of a split edge. Raises
@@ -472,13 +510,15 @@ class TorsionResult:
     guaranteed lower bound for the polygon's torsion; for other weights, a
     quadrature estimate. energy is J(u), grad_norm the norm of the energy
     gradient at u, and iterations the p = 2 solve's count (1 for an LU
-    solve) at p = 2, or else the nonlinear iteration's steps. stop_reason
-    says how the solve ended: "linear" at p = 2 (and when no node is free),
+    solve) at p = 2, or else the nonlinear iteration's steps. A load that is
+    0 on every free node (or no free node) gives the field 0 at every p,
+    with T = J = 0, no iteration, stop_reason "linear" and decrement 0.
+    stop_reason says how the solve ended: "linear" at p = 2,
     "decrement" when the nonlinear iteration reached a minimizer to within
     its tolerance, and "plateau" when it stopped because the energy stalled,
     with the Newton decrement still above it. decrement is the relative
-    Newton decrement lambda^2 / (2 |J|) at the stop: 0 for an LU solve (and
-    when no node is free), r . z / F . x for V-cycle CG at p = 2, and at
+    Newton decrement lambda^2 / (2 |J|) at the stop: 0 for an LU solve,
+    r . z / F . x for V-cycle CG at p = 2, and at
     most tol / 10 for a "decrement" stop, so a "plateau" stop's value says
     how far its field may lie from the minimizer.
     """
@@ -731,8 +771,10 @@ def solve_torsion(
     tol from the minimum. tol must be finite and positive; it does nothing
     at p = 2, whose field is the LU solve's or the V-cycle CG's at that
     fixed decrement. The result's decrement is the relative decrement at
-    the stop (TorsionResult). Raises NoConvergence when the line search or
-    an iteration cap runs out.
+    the stop (TorsionResult). A load that is 0 on every free node has the
+    minimizer 0 at every p, which is returned without a solve: T = J = 0,
+    no iteration. Raises NoConvergence when the line search or an
+    iteration cap runs out.
 
     The result's torsion is the quotient (F . x)^{p/(p-1)} / D^{1/(p-1)} of
     the returned field x, D its Dirichlet sum: x . K_ff x at p = 2, and at
@@ -746,7 +788,7 @@ def solve_torsion(
         raise BadParameter(f"tol = {tol!r} must be finite and positive")
     F = _load_vector(mesh, weight)
     u = np.zeros(mesh.node_count)
-    if len(F) == 0:
+    if not F.any():  # no free node, or a load that vanishes: the minimizer is 0
         return TorsionResult(mesh, u, p, weight, 0.0, 0.0, 0, 0.0)
 
     x, dirichlet, Fx, residual, iterations, stop, decrement = (

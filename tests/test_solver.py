@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -518,6 +519,20 @@ class TestSolve:
             with pytest.raises(ValueError):
                 solve_torsion(mesh, W1, 2.0, tol=tol)
 
+    def test_vanishing_load_gives_the_zero_field(self, unit_square):
+        # linear:1e9 is 0 at every centroid depth, so F = 0 on every free
+        # node: every p returns the field 0 with T = J = 0 and no iteration,
+        # where the line search would divide by phi'' = 0
+        w = WeightProfile.truncated_linear(1.0, 1e9)
+        mesh = triangulate(unit_square, 1.0 / 16)
+        F = solver_mod._load_vector(mesh, w)
+        assert len(F) > 0 and not F.any()
+        for p in (1.1, 1.5, 2.0, 3.0, 10.0):
+            res = solve_torsion(mesh, w, p)
+            assert (res.torsion, res.energy, res.iterations, res.grad_norm) == (0.0, 0.0, 0, 0.0)
+            assert (res.stop_reason, res.decrement) == ("linear", 0.0)
+            assert not res.u.any()
+
 
 @pytest.fixture(scope="module")
 def corpus_solves(small_corpus):
@@ -874,10 +889,6 @@ class TestRefinement:
             assert fine.h == coarse.h / 2 and fine.parent is coarse
             assert np.all(fine.triangle_areas > 0)
             assert float(np.sum(fine.triangle_areas)) == pytest.approx(metrics(poly).area, rel=1e-12)
-            # each parent splits in four equal children, listed together
-            quarters = fine.triangle_areas.reshape(-1, 4)
-            assert np.abs(quarters - coarse.triangle_areas[:, None] / 4).max() <= (
-                1e-12 * coarse.triangle_areas.max())
             # a loop of boundary nodes has as many edges: each gains a midpoint
             assert nb == 2 * coarse.n_boundary
             assert fine.nodes[: coarse.n_boundary].tobytes() == (
@@ -923,6 +934,24 @@ class TestRefinement:
             K_fine = stiffness_coo(fine.nodes, fine.triangles)[nb:, nb:]
             K_coarse = stiffness_coo(coarse.nodes, coarse.triangles)[coarse.n_boundary:, coarse.n_boundary:]
             assert abs(P.T @ K_fine @ P - K_coarse).max() <= 1e-12 * abs(K_coarse).max()
+
+    def test_inherited_operators_match_the_geometry(self, coarse_meshes):
+        # a refined mesh rescales its parent's areas and slopes; two levels
+        # down they still match the element assembly of its own nodes
+        rng = np.random.default_rng(5)
+        for coarse in coarse_meshes:
+            coarse, mid, fine = _refined_times(coarse, 2)
+            for parent, child in ((coarse, mid), (mid, fine)):
+                quarters = np.repeat(parent.triangle_areas / 4, 4)
+                assert child.triangle_areas.tobytes() == quarters.tobytes()
+            nb = fine.n_boundary
+            ref = stiffness_coo(fine.nodes, fine.triangles)[nb:, nb:]
+            K = fine._stiffness
+            assert K.format == "csc" and abs(K - ref).max() <= 1e-12 * abs(ref).max()
+            x = rng.standard_normal(coarse.node_count - coarse.n_boundary)
+            got = (fine._gradient @ (fine.prolongation @ (mid.prolongation @ x))).reshape(2, -1)
+            want = np.repeat((coarse._gradient @ x).reshape(2, -1), 16, axis=1)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_refinement_respects_the_node_budget(self, unit_square, monkeypatch):
         coarse = triangulate(unit_square, 1.0 / 16)
@@ -1038,6 +1067,23 @@ class TestMultigrid:
                 assert all(r() is None for r in refs)
             finally:
                 gc.enable()
+
+    def test_cached_operators_per_mesh(self, monkeypatch):
+        # a ladder's meshes cache their areas, G, K and the LU or the
+        # smoother, and G^T once a p != 2 solve ran; a refined mesh caches
+        # nothing more, its slopes being recomputed through its parents
+        monkeypatch.setattr(solver_mod, "_MG_MIN_FREE", 64)
+        square = polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+        hs = [1.0 / 8, 1.0 / 16, 1.0 / 32]
+        fields = {f.name for f in dataclasses.fields(solver_mod.Mesh)}
+        common = {"triangle_areas", "_gradient", "_stiffness"}
+        for p, extra in ((2.0, set()), (3.0, {"_gradient_T"})):
+            richardson_T(square, W1, p, hs)
+            root, mid, fine = solver_mod._ladder(square, hs[0], 3)
+            assert not solver_mod._factorized(mid)
+            assert set(vars(root)) - fields == common | {"_stiffness_lu"} | extra
+            for mesh in (mid, fine):
+                assert set(vars(mesh)) - fields == common | {"_jacobi"} | extra
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "_MAX_CG_ITERS", 20)
